@@ -2,7 +2,9 @@
 checks, grid scans and mode-algebra verification.
 
 Exit status: 0 when everything holds within tolerance, 1 on any failed
-check, 2 on usage errors.  Output files are written atomically.  All random
+check, 2 on usage errors and on input the evaluators reject (a
+GhostCftError or ValueError); any other exception propagates with its
+traceback.  Output files are written atomically.  All random
 draws come from a seeded generator (default seed 42).
 """
 from __future__ import annotations
@@ -23,6 +25,7 @@ from . import identities as idn
 from . import kzbpz as kz
 from . import modealg
 from .blocks import BlockSum, PowerSum
+from .errors import GhostCftError
 from .scalars import all_exact, parse_charge, to_complex
 
 
@@ -77,6 +80,8 @@ def _all_pass(reports) -> bool:
 
 def cmd_eval(args) -> int:
     charges = _charges(args.charges)
+    if args.eta is None and args.op in ("block-l1", "blocks-l2", "block-l3", "conj-l3", "conj-l2"):
+        raise ValueError(f"--op {args.op} needs --eta")
     eta = complex(args.eta) if args.eta is not None else None
     out = {}
     if args.op == "two-point":
@@ -440,7 +445,6 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--tolerance", type=float, default=1e-9)
         sp.add_argument("--seed", type=int, default=42)
         sp.add_argument("--output", help="write result to this path (atomic)")
-        sp.add_argument("--format", choices=("json", "csv"), default="json")
 
     sp = sub.add_parser("eval", help="evaluate a closed form")
     sp.add_argument("--op", required=True,
@@ -499,9 +503,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         args.tolerance = defaults.get(getattr(args, "op", ""), 1e-9)
     try:
         return args.fn(args)
-    except SystemExit:
-        raise
-    except Exception as exc:  # surfaced as a usage/configuration problem
+    except (GhostCftError, ValueError) as exc:  # bad input; any other raise is a bug
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

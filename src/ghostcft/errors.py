@@ -38,10 +38,6 @@ class ChargeError(GhostCftError):
     """Field charge incompatible with the requested operation."""
 
 
-class SelectionZero(GhostCftError):
-    """Correlator is identically zero by a selection rule."""
-
-
 class UnsupportedShape(GhostCftError):
     """Spectral-flow pattern outside the supported correlator shapes."""
 

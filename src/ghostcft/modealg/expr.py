@@ -54,6 +54,17 @@ def bracket_ghost(x: Mode, y: Mode):
     return Fraction(0)
 
 
+def jj_pairs(n: int, w: int):
+    """The distinct terms of (JJ)_n = sum_{|a| <= w} :J_a J_{n-a}: as
+    (lo, hi, multiplicity, at the window edge a = +-w), lo = n - hi <= hi."""
+    pairs: Dict[int, Tuple[int, bool]] = {}
+    for a in range(-w, w + 1):
+        hi = max(a, n - a)
+        mult, edge = pairs.get(hi, (0, False))
+        pairs[hi] = (mult + 1, edge or abs(a) == w)
+    return [(n - hi, hi, mult, edge) for hi, (mult, edge) in pairs.items()]
+
+
 _FAMILY_ORDER = {BETA: 0, GAMMA: 1}
 
 

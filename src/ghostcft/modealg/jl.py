@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
 from ..errors import TruncationError
-from .expr import CURRENT, VIRASORO, Mode, mode
+from .expr import CURRENT, VIRASORO, Mode, jj_pairs, mode
 
 _RANK = {CURRENT: 0, VIRASORO: 1}
 
@@ -147,12 +147,14 @@ def apply_current_squared(vec: JLVector, n: int) -> JLVector:
     """(JJ)_n = sum_a :J_a J_{n-a}:, larger index acting first."""
     w = vec.max_depth() + abs(n) + 4
     total = vec._like({})
-    for a in range(-w, w + 1):
-        lo, hi = min(a, n - a), max(a, n - a)
-        piece = apply_mode(mode(CURRENT, lo), apply_mode(mode(CURRENT, hi), vec))
-        if a in (-w, w) and not piece.is_zero():
+    for lo, hi, mult, edge in jj_pairs(n, w):
+        inner = apply_current(vec, hi)
+        if inner.is_zero():
+            continue
+        piece = apply_current(inner, lo)
+        if edge and not piece.is_zero():
             raise TruncationError("JJ window boundary term non-zero")
-        total = total + piece
+        total = total + piece.scale(mult)
     return total
 
 

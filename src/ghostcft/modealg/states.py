@@ -5,14 +5,32 @@ n >= 1, while b_{-ell} phi_j^ell = j phi_{j+1}^ell and
 g_{ell} phi_j^ell = phi_{j-1}^ell.  States are exact rational combinations
 of creation-mode monomials on charge-shifted primaries.
 
-Composite modes expand as the bilinears
+Composite modes are the bilinears
 
     J_n = sum_a :b_a g_{n-a}:,    L_n = sum_c c :b_{n-c} g_c:,
-    Ls_n = L_n + (1/2) sum_a :J_a J_{n-a}: - (n+1)/2 J_n,
+    Ls_n = L_n + (1/2) sum_a :J_a J_{n-a}: - (n+1)/2 J_n.
 
-where only finitely many summands act non-trivially on a given state.  The
-summation window is derived from the deepest creator in the state and the
-boundary terms are asserted to vanish, so the truncation is exact.
+J and L act as derivations through their free-field brackets
+
+    [J_n, b_k] = b_{n+k},        [J_n, g_k] = -g_{n+k},
+    [L_n, b_k] = -k b_{n+k},     [L_n, g_k] = -(n+k) g_{n+k},
+
+so that X_n x_1..x_r phi = sum_i x_1..[X_n, x_i]..x_r phi + x_1..x_r X_n phi,
+where the mode [X_n, x_i] moves right to phi, contracting with the creators
+after it.  Only the last term needs the bilinears, and on a bare primary
+they sum to a closed form: X_n phi = 0 for n >= 1,
+J_0 phi_j = (j - ell) phi_j, L_0 phi_j = (j ell - ell(ell+1)/2) phi_j, and
+for n <= -1
+
+    J_n phi_j = b_{n-ell} phi_{j-1} + j g_{n+ell} phi_{j+1}
+                + sum_{c=n+ell+1}^{ell-1} g_c b_{n-c} phi_j,
+    L_n phi_j = ell b_{n-ell} phi_{j-1} + (n+ell) j g_{n+ell} phi_{j+1}
+                + sum_{c=n+ell+1}^{ell-1} c g_c b_{n-c} phi_j.
+
+(JJ)_n sums :J_a J_{n-a}: over |a| <= w + 2, where w = depth + |n| + |ell| + 4
+and depth is the largest |index| of a creator in the state; its boundary
+terms must vanish, else TruncationError.  A state's truncation_level caps w:
+every J or L action whose w exceeds it raises TruncationError.
 """
 from __future__ import annotations
 
@@ -20,7 +38,9 @@ from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from ..errors import TruncationError
-from .expr import BETA, CURRENT, GAMMA, SINGLET, VIRASORO, Mode, ModeExpr, Word, mode
+from .expr import (
+    BETA, CURRENT, GAMMA, SINGLET, VIRASORO, Mode, ModeExpr, Word, jj_pairs, mode,
+)
 
 Monomial = Tuple[Mode, ...]  # sorted creation modes
 StateKey = Tuple[Monomial, int]  # (creators, charge shift)
@@ -171,77 +191,112 @@ def apply_word(state: GhostState, word: Word) -> GhostState:
 
 
 def act(expr: ModeExpr, state: GhostState) -> GhostState:
-    total = state._like({})
+    out: Dict[StateKey, Fraction] = {}
     for word, coeff in expr.terms.items():
-        total = total + apply_word(state, word).scale(coeff)
-    return total
-
-
-def _bilinear_apply(state: GhostState, b_idx: int, g_idx: int) -> GhostState:
-    """:b_{b_idx} g_{g_idx}: applied to state (annihilator acts first)."""
-    b_ann = b_idx >= 0
-    g_ann = g_idx >= 1
-    bm, gm = mode(BETA, b_idx), mode(GAMMA, g_idx)
-    if b_ann and not g_ann:
-        return _apply_ghost_mode(_apply_ghost_mode(state, bm), gm)
-    # in every other case apply g first (both-annihilator and both-creator
-    # pairs commute, so the choice there is immaterial)
-    return _apply_ghost_mode(_apply_ghost_mode(state, gm), bm)
+        _accumulate(out, apply_word(state, word).terms, coeff)
+    return state._like(out)
 
 
 def _window(state: GhostState, n: int) -> int:
+    """depth + |n| + |ell| + 4, the mode width a J/L action may need; raises
+    TruncationError when it exceeds the state's truncation level."""
     w = state.max_depth() + abs(n) + abs(state.ell) + 4
     state._check_cap(w)
     return w
 
 
+def _accumulate(acc: Dict[StateKey, Fraction], terms: Dict[StateKey, Fraction], factor) -> None:
+    for key, c in terms.items():
+        acc[key] = acc.get(key, 0) + factor * c
+
+
+def _on_primary(j: Fraction, ell: int, n: int, weight, eigenvalue):
+    """X_n phi_j^ell for X_n = sum_c weight(c) :b_{n-c} g_c:, as
+    (creators, charge shift, coefficient) triples."""
+    if n > 0:
+        return ()
+    if n == 0:
+        return (((), 0, eigenvalue(j, ell)),)
+    out = [((mode(BETA, n - ell),), -1, weight(ell)),
+           ((mode(GAMMA, n + ell),), 1, weight(n + ell) * j)]
+    out += [((mode(BETA, n - c), mode(GAMMA, c)), 0, weight(c)) for c in range(n + ell + 1, ell)]
+    return out
+
+
+def _derivation(state: GhostState, n: int, weight, eigenvalue) -> GhostState:
+    """X_n = sum_c weight(c) :b_{n-c} g_c: acting as the derivation
+    X_n x_1..x_r phi = sum_i x_1..[X_n, x_i]..x_r phi + x_1..x_r X_n phi;
+    eigenvalue(j, ell) is X_0 on phi_j^ell."""
+    j, ell = state.j, state.ell
+    out: Dict[StateKey, Fraction] = {}
+    for (mono, shift), coeff in state.terms.items():
+        for i, (fam, k) in enumerate(mono):
+            # [X_n, b_k] = weight(-k) b_{n+k},  [X_n, g_k] = -weight(n+k) g_{n+k}
+            c = weight(-k) if fam == BETA else -weight(n + k)
+            if not c:
+                continue
+            c *= coeff
+            m = n + k
+            rest = mono[:i] + mono[i + 1 :]
+            # x_m moves right to phi, contracting with the creators after it:
+            # [b_m, g_{-m}] = -1, [g_m, b_{-m}] = +1
+            conj, sign, zero_grade = (GAMMA, -1, -ell) if fam == BETA else (BETA, 1, ell)
+            for a in range(i + 1, len(mono)):
+                if mono[a] == (conj, -m):
+                    key = (mono[:i] + mono[i + 1 : a] + mono[a + 1 :], shift)
+                    out[key] = out.get(key, 0) + sign * c
+            if m < zero_grade:
+                key = (_sort_monomial(rest + ((fam, m),)), shift)
+            elif m == zero_grade:
+                if fam == BETA:  # b_{-ell} phi_j = j phi_{j+1}
+                    key, c = (rest, shift + 1), c * (j + shift)
+                else:  # g_ell phi_j = phi_{j-1}
+                    key = (rest, shift - 1)
+            else:
+                continue
+            out[key] = out.get(key, 0) + c
+        for extra, dshift, c in _on_primary(j + shift, ell, n, weight, eigenvalue):
+            key = (_sort_monomial(mono + extra) if extra else mono, shift + dshift)
+            out[key] = out.get(key, 0) + c * coeff
+    return state._like(out)
+
+
 def act_current(state: GhostState, n: int) -> GhostState:
     """J_n = sum_a :b_a g_{n-a}: acting exactly."""
-    w = _window(state, n)
-    total = state._like({})
-    for a in range(-w, w + 1):
-        piece = _bilinear_apply(state, a, n - a)
-        if a in (-w, w) and not piece.is_zero():
-            raise TruncationError("J window boundary term non-zero; widen cap")
-        total = total + piece
-    return total
+    _window(state, n)
+    return _derivation(state, n, lambda c: 1, lambda j, ell: j - ell)
 
 
 def act_virasoro(state: GhostState, n: int) -> GhostState:
     """L_n = sum_c c :b_{n-c} g_c: acting exactly."""
-    w = _window(state, n)
-    total = state._like({})
-    for c in range(-w, w + 1):
-        if c == 0:
-            continue
-        piece = _bilinear_apply(state, n - c, c).scale(c)
-        if abs(c) == w and not piece.is_zero():
-            raise TruncationError("L window boundary term non-zero; widen cap")
-        total = total + piece
-    return total
+    _window(state, n)
+    return _derivation(state, n, lambda c: c,
+                       lambda j, ell: ell * j - Fraction(ell * (ell + 1), 2))
 
 
 def act_current_squared(state: GhostState, n: int) -> GhostState:
     """(JJ)_n = sum_a :J_a J_{n-a}:, the larger index acting first."""
     w = _window(state, n) + 2
-    total = state._like({})
-    for a in range(-w, w + 1):
-        lo, hi = min(a, n - a), max(a, n - a)
-        piece = act_current(act_current(state, hi), lo)
-        if a in (-w, w) and not piece.is_zero():
-            raise TruncationError("JJ window boundary term non-zero; widen cap")
-        total = total + piece
-        if a == n - a:
+    out: Dict[StateKey, Fraction] = {}
+    for lo, hi, mult, edge in jj_pairs(n, w):
+        inner = act_current(state, hi)
+        if inner.is_zero():
+            _window(inner, lo)  # the cap check J_lo would make
             continue
-    return total
+        piece = act_current(inner, lo)
+        if edge and not piece.is_zero():
+            raise TruncationError("JJ window boundary term non-zero; widen cap")
+        _accumulate(out, piece.terms, mult)
+    return state._like(out)
 
 
 def act_singlet(state: GhostState, n: int) -> GhostState:
     """Ls_n = L_n + (1/2)(JJ)_n - ((n+1)/2) J_n."""
-    out = act_virasoro(state, n)
-    out = out + act_current_squared(state, n).scale(Fraction(1, 2))
-    out = out + act_current(state, n).scale(Fraction(-(n + 1), 2))
-    return out
+    out: Dict[StateKey, Fraction] = {}
+    _accumulate(out, act_virasoro(state, n).terms, 1)
+    _accumulate(out, act_current_squared(state, n).terms, Fraction(1, 2))
+    _accumulate(out, act_current(state, n).terms, Fraction(-(n + 1), 2))
+    return state._like(out)
 
 
 def act_flowed(state: GhostState, m: Mode, ell: int) -> GhostState:

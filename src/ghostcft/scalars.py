@@ -9,7 +9,6 @@ a signed-zero imaginary part.
 from __future__ import annotations
 
 import cmath
-import math
 from fractions import Fraction
 from typing import Union
 
@@ -116,18 +115,5 @@ def parse_charge(text: str) -> Scalar:
         return Fraction(text) if ("/" in text or "." not in text) else float(text)
     except ValueError:
         return float(text)
-
-
-def close(a: Scalar, b: Scalar, rel: float = 1e-10, abs_tol: float = 1e-12) -> bool:
-    ac, bc = to_complex(a), to_complex(b)
-    return abs(ac - bc) <= max(abs_tol, rel * max(abs(ac), abs(bc)))
-
-
-def binomial_general(x: Scalar, k: int) -> Scalar:
-    """Generalized binomial coefficient C(x, k) = x(x-1)...(x-k+1)/k!."""
-    if k < 0:
-        raise ValueError("k must be non-negative")
-    num: Scalar = Fraction(1) if is_exact(x) else 1.0
-    for t in range(k):
-        num = num * (x - t)
-    return num / (Fraction(math.factorial(k)) if is_exact(x) else math.factorial(k))
+    except ZeroDivisionError:
+        raise ValueError(f"charge {text!r} has a zero denominator") from None

@@ -142,6 +142,27 @@ def test_configuration_error_exit_code(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["residual", "--op", "ward", "--ell", "1", "--charges", "0.3,abc"],
+    ["residual", "--op", "ward", "--ell", "1", "--charges", "1/0,0.4"],
+    ["eval", "--op", "blocks-l2", "--ell", "2", "--charges", "0.3,0.4,1/2,0.8"],
+])
+def test_bad_input_exit_code(capsys, argv):
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_programming_error_propagates(monkeypatch):
+    import ghostcft.cli as cli
+
+    def broken(args):
+        raise TypeError("a bug, not bad input")
+
+    monkeypatch.setattr(cli, "cmd_modealg_verify", broken)
+    with pytest.raises(TypeError, match="a bug"):
+        main(["modealg-verify", "--level", "2"])
+
+
 def test_atomic_output_file(capsys, tmp_path):
     out_path = tmp_path / "report.json"
     code, _ = run(

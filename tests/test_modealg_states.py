@@ -6,6 +6,8 @@ import pytest
 
 from ghostcft.errors import TruncationError
 from ghostcft.modealg import (
+    BETA,
+    GAMMA,
     GhostState,
     JLVector,
     LocalExpr,
@@ -15,6 +17,7 @@ from ghostcft.modealg import (
     act_current_squared,
     act_singlet,
     act_virasoro,
+    apply_word,
     basis_states,
     check_flow_vacuum_conditions,
     check_jj_commutators,
@@ -128,6 +131,103 @@ def test_truncation_error_surfaces():
     phi = GhostState.primary(half, truncation_level=2)
     with pytest.raises(TruncationError):
         act_current(phi, 4)
+
+
+def test_truncation_cap_on_level_two_monomial():
+    # the cap is depth + |n| + |ell| + 4 for a non-primary state too
+    for ell in (0, 1):
+        mono = [s for s in basis_states(Fraction(1, 3), ell, max_level=2, max_factors=2)
+                if len(next(iter(s.terms))[0]) == 2][0]
+        ((key, coeff),) = mono.terms.items()
+        depth = mono.max_depth()
+        for action in (act_current, act_virasoro):
+            for n in (-2, 0, 3):
+                need = depth + abs(n) + abs(ell) + 4
+                capped = GhostState(mono.j, ell, {key: coeff}, truncation_level=need - 1)
+                with pytest.raises(TruncationError):
+                    action(capped, n)
+                at_cap = GhostState(mono.j, ell, {key: coeff}, truncation_level=need)
+                assert action(at_cap, n) == action(mono, n)
+
+
+# ----------------------------------------------------------------------
+# the derivation-form actions against the windowed bilinear sum
+# ----------------------------------------------------------------------
+
+
+def _bilinear(state, b_idx, g_idx):
+    """:b_{b_idx} g_{g_idx}: on state, the annihilator acting first."""
+    if b_idx >= 0 and g_idx <= 0:
+        return apply_word(state, ((GAMMA, g_idx), (BETA, b_idx)))
+    return apply_word(state, ((BETA, b_idx), (GAMMA, g_idx)))
+
+
+def _reference_width(state, n):
+    return state.max_depth() + abs(n) + abs(state.ell) + 4
+
+
+def _reference_current(state, n):
+    """J_n = sum_{|a| <= w} :b_a g_{n-a}:, the boundary terms vanishing."""
+    w = _reference_width(state, n)
+    total = state.scale(0)
+    for a in range(-w, w + 1):
+        piece = _bilinear(state, a, n - a)
+        assert abs(a) < w or piece.is_zero()
+        total = total + piece
+    return total
+
+
+def _reference_virasoro(state, n):
+    """L_n = sum_{|c| <= w} c :b_{n-c} g_c:, the boundary terms vanishing."""
+    w = _reference_width(state, n)
+    total = state.scale(0)
+    for c in range(-w, w + 1):
+        piece = _bilinear(state, n - c, c).scale(c)
+        assert abs(c) < w or piece.is_zero()
+        total = total + piece
+    return total
+
+
+def _reference_current_squared(state, n):
+    """(JJ)_n = sum_{|a| <= w} :J_a J_{n-a}:, the larger index acting first."""
+    w = _reference_width(state, n) + 2
+    total = state.scale(0)
+    for a in range(-w, w + 1):
+        lo, hi = min(a, n - a), max(a, n - a)
+        piece = _reference_current(_reference_current(state, hi), lo)
+        assert abs(a) < w or piece.is_zero()
+        total = total + piece
+    return total
+
+
+def _reference_singlet(state, n):
+    return (
+        _reference_virasoro(state, n)
+        + _reference_current_squared(state, n).scale(half)
+        - _reference_current(state, n).scale(Fraction(n + 1, 2))
+    )
+
+
+def _oracle_states(ell):
+    """Multi-term states on phi_j^ell, with terms at charge shifts k != 0 and
+    monomials holding both a b and a g creator, so that the bracket images
+    can contract."""
+    j = Fraction(2, 7)
+    monos = [next(iter(s.terms))[0] for s in basis_states(j, ell, max_level=4, max_factors=3)]
+    mixed = [m for m in monos if {fam for fam, _n in m} == {BETA, GAMMA}]
+    yield GhostState(j, ell, {(mixed[0], 0): Fraction(3), (monos[1], 1): Fraction(-1, 2)})
+    yield GhostState(j, ell, {(mixed[-1], -1): Fraction(1), (monos[2], 0): Fraction(2, 5),
+                               ((), 2): Fraction(-3, 4)})
+
+
+@pytest.mark.parametrize("ell", [-1, 0, 1, 2])
+def test_actions_match_windowed_bilinear_sum(ell):
+    for state in _oracle_states(ell):
+        for n in range(-3, 4):
+            assert act_current(state, n) == _reference_current(state, n)
+            assert act_virasoro(state, n) == _reference_virasoro(state, n)
+            assert act_current_squared(state, n) == _reference_current_squared(state, n)
+            assert act_singlet(state, n) == _reference_singlet(state, n)
 
 
 # ----------------------------------------------------------------------
