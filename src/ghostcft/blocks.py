@@ -1,44 +1,43 @@
 """Conformal-block evaluators on the cross-ratio line.
 
-Two closely related containers:
+Two closely related containers, both linear combinations (``LinComb``)
+whose like terms merge as a sum is built:
 
 * PowerSum -- an exact finite sum  sum_i c_i eta^{p_i} (1-eta)^{q_i} with
-  rational (or numeric) coefficients and exponents.  Closed under d/deta and
-  under multiplication by eta^a (1-eta)^b, which is what the charge-shift
-  recursion needs to run in exact rational arithmetic.
+  rational (or numeric) coefficients and exponents, keyed by (p, q).  Closed
+  under d/deta and under multiplication by eta^a (1-eta)^b, which is what
+  the charge-shift recursion needs to run in exact rational arithmetic.
 
-* BlockSum -- a sum of prefactor*payload terms where each payload is one of
-  {1, 2F1(a,b;c;eta), 3F2(...; -eta/(1-eta)), B(a,b;eta)}.  The same closure
-  properties hold (payload derivatives shift parameters), so the recursion
-  and the second-order BPZ operator evaluate analytically, with no finite
-  differencing.
+* BlockSum -- a sum of c * eta^p (1-eta)^q * payload(eta), keyed by
+  (p, q, kind, params), where each payload is one of {1, 2F1(a,b;c;eta),
+  3F2(...; -eta/(1-eta)), B(a,b;eta)}.  The same closure properties hold
+  (payload derivatives shift parameters), so the recursion and the
+  second-order BPZ operator evaluate analytically, with no finite
+  differencing; a k-step numeric recursion carries (k+1)^2 terms.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Iterable, Optional, Tuple
+from typing import Optional, Tuple
 
 from . import specfun
 from .errors import ParamError
+from .lincomb import LinComb
 from .scalars import Scalar, all_exact, as_fraction, cpow, is_exact, to_complex
 
-_ZERO_TOL = 0.0  # exact zero removal only; numeric terms keep tiny coefficients
 
-
-class PowerSum:
+class PowerSum(LinComb):
     """Canonical sum of c * eta^p (1-eta)^q terms keyed by (p, q)."""
 
-    __slots__ = ("terms",)
+    __slots__ = ()
 
-    def __init__(self, terms: Optional[dict] = None):
-        merged: dict = {}
-        for key, coeff in (terms or {}).items():
-            if key in merged:
-                merged[key] = merged[key] + coeff
-            else:
-                merged[key] = coeff
-        self.terms = {k: v for k, v in merged.items() if v != 0}
+    # bound here, not inherited: the benchmark tracer patches these names in
+    # the class's own __dict__
+    __init__ = LinComb.__init__
+    is_zero = LinComb.is_zero
+    __add__ = LinComb.__add__
+    __sub__ = LinComb.__sub__
+    scale = LinComb.scale
 
     @classmethod
     def single(cls, coeff: Scalar, p: Scalar, q: Scalar = 0) -> "PowerSum":
@@ -48,23 +47,8 @@ class PowerSum:
     def zero(cls) -> "PowerSum":
         return cls({})
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __add__(self, other: "PowerSum") -> "PowerSum":
-        out = dict(self.terms)
-        for key, coeff in other.terms.items():
-            out[key] = out.get(key, 0) + coeff
-        return PowerSum(out)
-
-    def __sub__(self, other: "PowerSum") -> "PowerSum":
-        return self + other.scale(-1)
-
-    def scale(self, factor: Scalar) -> "PowerSum":
-        return PowerSum({k: factor * v for k, v in self.terms.items()})
-
     def mul_power(self, dp: Scalar, dq: Scalar = 0) -> "PowerSum":
-        return PowerSum({(p + dp, q + dq): c for (p, q), c in self.terms.items()})
+        return self.map_keys(lambda key: (key[0] + dp, key[1] + dq))
 
     def deriv(self) -> "PowerSum":
         out: dict = {}
@@ -156,14 +140,6 @@ class PowerSum:
         """Structural equality modulo the integer-shift redundancy."""
         return self.canonical().terms == other.canonical().terms
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, PowerSum):
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
     def to_text(self) -> str:
         if not self.terms:
             return "0"
@@ -176,143 +152,115 @@ class PowerSum:
         return f"PowerSum[{self.to_text()}]"
 
     def to_blocksum(self) -> "BlockSum":
-        return BlockSum(
-            [BlockTerm(c, p, q, "pow", ()) for (p, q), c in self.terms.items()]
-        )
+        return BlockSum({(p, q, "pow", ()): c for (p, q), c in self.terms.items()})
 
 
-@dataclass(frozen=True)
-class BlockTerm:
-    """coeff * eta^p (1-eta)^q * payload(eta).
+def _payload_value(kind: str, params: Tuple[Scalar, ...], eta: Scalar,
+                  degenerate: str = "strict") -> Scalar:
+    """The payload of a BlockSum term at eta.
 
     kind: 'pow' (payload 1), '2f1' (params (a,b,c), argument eta),
     '3f2w' (params (a1,a2,a3,b1,b2), argument -eta/(1-eta)),
     'incbeta' (params (a,b), argument eta).
     """
-
-    coeff: Scalar
-    p: Scalar
-    q: Scalar
-    kind: str
-    params: Tuple[Scalar, ...]
-
-    def payload_value(self, eta: Scalar, degenerate: str = "strict") -> Scalar:
-        if self.kind == "pow":
-            return 1
-        if self.kind == "2f1":
-            a, b, c = self.params
-            return specfun.hyp2f1(a, b, c, eta, degenerate=degenerate)
-        if self.kind == "3f2w":
-            w = -to_complex(eta) / (1 - to_complex(eta))
-            return specfun.hyp3f2(*self.params, w)
-        if self.kind == "incbeta":
-            a, b = self.params
-            return specfun.beta_incomplete(a, b, eta)
-        raise ParamError(f"unknown payload kind {self.kind!r}")
-
-    def value(self, eta: Scalar, degenerate: str = "strict") -> Scalar:
-        pref = self.coeff * cpow(eta, self.p) * cpow(1 - to_complex(eta), self.q)
-        return pref * self.payload_value(eta, degenerate)
+    if kind == "pow":
+        return 1
+    if kind == "2f1":
+        a, b, c = params
+        return specfun.hyp2f1(a, b, c, eta, degenerate=degenerate)
+    if kind == "3f2w":
+        w = -to_complex(eta) / (1 - to_complex(eta))
+        return specfun.hyp3f2(*params, w)
+    if kind == "incbeta":
+        a, b = params
+        return specfun.beta_incomplete(a, b, eta)
+    raise ParamError(f"unknown payload kind {kind!r}")
 
 
-class BlockSum:
-    """Finite sum of BlockTerm's, closed under d/deta and prefactor shifts."""
+class BlockSum(LinComb):
+    """Sum of c * eta^p (1-eta)^q * payload(eta) keyed by (p, q, kind,
+    params); closed under d/deta and prefactor shifts."""
 
-    __slots__ = ("terms",)
+    __slots__ = ()
 
-    def __init__(self, terms: Iterable[BlockTerm] = ()):
-        self.terms = [t for t in terms if t.coeff != 0]
+    # bound here, not inherited: the benchmark tracer patches these names in
+    # the class's own __dict__
+    __init__ = LinComb.__init__
+    __add__ = LinComb.__add__
+    __sub__ = LinComb.__sub__
+    scale = LinComb.scale
 
     @classmethod
     def constant(cls, value: Scalar) -> "BlockSum":
-        return cls([BlockTerm(value, 0, 0, "pow", ())])
+        return cls({(0, 0, "pow", ()): value})
 
     @classmethod
     def power(cls, coeff: Scalar, p: Scalar, q: Scalar = 0) -> "BlockSum":
-        return cls([BlockTerm(coeff, p, q, "pow", ())])
+        return cls({(p, q, "pow", ()): coeff})
 
     @classmethod
     def hyp2f1(cls, coeff: Scalar, p: Scalar, q: Scalar, a, b, c) -> "BlockSum":
-        return cls([BlockTerm(coeff, p, q, "2f1", (a, b, c))])
+        return cls({(p, q, "2f1", (a, b, c)): coeff})
 
     @classmethod
     def hyp3f2w(cls, coeff: Scalar, p: Scalar, q: Scalar, uppers, lowers) -> "BlockSum":
-        return cls([BlockTerm(coeff, p, q, "3f2w", (*uppers, *lowers))])
+        return cls({(p, q, "3f2w", (*uppers, *lowers)): coeff})
 
     @classmethod
     def incomplete_beta(cls, coeff: Scalar, p: Scalar, q: Scalar, a, b) -> "BlockSum":
-        return cls([BlockTerm(coeff, p, q, "incbeta", (a, b))])
-
-    def __add__(self, other: "BlockSum") -> "BlockSum":
-        return BlockSum([*self.terms, *other.terms])
-
-    def __sub__(self, other: "BlockSum") -> "BlockSum":
-        return self + other.scale(-1)
-
-    def scale(self, factor: Scalar) -> "BlockSum":
-        return BlockSum([replace(t, coeff=factor * t.coeff) for t in self.terms])
+        return cls({(p, q, "incbeta", (a, b)): coeff})
 
     def mul_power(self, dp: Scalar, dq: Scalar = 0) -> "BlockSum":
-        return BlockSum([replace(t, p=t.p + dp, q=t.q + dq) for t in self.terms])
+        return self.map_keys(lambda key: (key[0] + dp, key[1] + dq, key[2], key[3]))
 
     def deriv(self) -> "BlockSum":
-        out = []
-        for t in self.terms:
-            if t.p != 0:
-                out.append(replace(t, coeff=t.coeff * t.p, p=t.p - 1))
-            if t.q != 0:
-                out.append(replace(t, coeff=-t.coeff * t.q, q=t.q - 1))
-            if t.kind == "pow":
-                continue
-            if t.kind == "2f1":
-                a, b, c = t.params
-                out.append(
-                    BlockTerm(
-                        t.coeff * a * b / c, t.p, t.q, "2f1", (a + 1, b + 1, c + 1)
-                    )
-                )
-            elif t.kind == "3f2w":
-                a1, a2, a3, b1, b2 = t.params
-                pref = t.coeff * a1 * a2 * a3 / (b1 * b2)
+        out: dict = {}
+
+        def add(key, c):
+            out[key] = out.get(key, 0) + c
+
+        for (p, q, kind, params), c in self.terms.items():
+            if p != 0:
+                add((p - 1, q, kind, params), c * p)
+            if q != 0:
+                add((p, q - 1, kind, params), -c * q)
+            if kind == "2f1":
+                a, b, cc = params
+                add((p, q, "2f1", (a + 1, b + 1, cc + 1)), c * a * b / cc)
+            elif kind == "3f2w":
+                a1, a2, a3, b1, b2 = params
                 # d/deta 3F2(w(eta)) = 3F2'(w) * w'(eta), w' = -1/(1-eta)^2
-                out.append(
-                    BlockTerm(
-                        -pref,
-                        t.p,
-                        t.q - 2,
-                        "3f2w",
-                        (a1 + 1, a2 + 1, a3 + 1, b1 + 1, b2 + 1),
-                    )
-                )
-            elif t.kind == "incbeta":
-                a, b = t.params
-                out.append(BlockTerm(t.coeff, t.p + a - 1, t.q + b - 1, "pow", ()))
+                add((p, q - 2, "3f2w", (a1 + 1, a2 + 1, a3 + 1, b1 + 1, b2 + 1)),
+                    -(c * a1 * a2 * a3 / (b1 * b2)))
+            elif kind == "incbeta":
+                a, b = params
+                add((p + a - 1, q + b - 1, "pow", ()), c)
         return BlockSum(out)
 
     def value(self, eta: Scalar, degenerate: str = "strict") -> complex:
-        return sum((to_complex(t.value(eta, degenerate)) for t in self.terms), 0j)
+        one_minus = 1 - to_complex(eta)
+        return sum((to_complex(c * cpow(eta, p) * cpow(one_minus, q)
+                               * _payload_value(kind, params, eta, degenerate))
+                    for (p, q, kind, params), c in self.terms.items()), 0j)
 
     def exact_value_terminating(self, eta: Scalar):
         """Exact evaluation when every payload terminates and inputs are exact."""
+        one_minus = Fraction(1) - as_fraction(eta)
         total = Fraction(0)
-        for t in self.terms:
-            pref = t.coeff * cpow(eta, t.p) * cpow(Fraction(1) - as_fraction(eta), t.q)
-            total = total + pref * t.payload_value(eta)
+        for (p, q, kind, params), c in self.terms.items():
+            total = total + c * cpow(eta, p) * cpow(one_minus, q) * _payload_value(
+                kind, params, eta)
         return total
 
     def is_exact(self) -> bool:
         return all(
-            all_exact(t.coeff, t.p, t.q, *t.params) for t in self.terms
+            all_exact(c, p, q, *params) for (p, q, _kind, params), c in self.terms.items()
         )
 
     def try_powersum(self) -> Optional[PowerSum]:
-        if any(t.kind != "pow" for t in self.terms):
+        if any(kind != "pow" for (_p, _q, kind, _params) in self.terms):
             return None
-        out: dict = {}
-        for t in self.terms:
-            key = (t.p, t.q)
-            out[key] = out.get(key, 0) + t.coeff
-        return PowerSum(out)
+        return PowerSum({(p, q): c for (p, q, _kind, _params), c in self.terms.items()})
 
     def __repr__(self) -> str:
         return f"BlockSum<{len(self.terms)} terms>"
@@ -335,29 +283,29 @@ def exact_series(block, order: int, base_p=None) -> Tuple[Fraction, list]:
     """
     bs = as_blocksum(block)
     prefs = []
-    for t in bs.terms:
-        if t.kind not in ("pow", "2f1"):
-            raise ValueError(f"exact series not supported for payload {t.kind}")
-        prefs.append(as_fraction(t.p))
+    for p, _q, kind, _params in bs.terms:
+        if kind not in ("pow", "2f1"):
+            raise ValueError(f"exact series not supported for payload {kind}")
+        prefs.append(as_fraction(p))
     if not prefs:
         return Fraction(0), [Fraction(0)] * (order + 1)
     p0 = min(prefs) if base_p is None else as_fraction(base_p)
     coeffs = [Fraction(0)] * (order + 1)
-    for t in bs.terms:
-        shift = as_fraction(t.p) - p0
+    for (p, q, kind, params), coeff in bs.terms.items():
+        shift = as_fraction(p) - p0
         if shift.denominator != 1 or shift < 0:
             raise ValueError("term exponents differ by non-integers")
         shift_i = int(shift)
-        qf = as_fraction(t.q)
-        cf = as_fraction(t.coeff)
+        qf = as_fraction(q)
+        cf = as_fraction(coeff)
         # (1-eta)^q coefficients
         binom = [Fraction(1)]
         for m in range(1, order + 1):
             binom.append(binom[-1] * (qf - m + 1) / m * -1)
-        if t.kind == "pow":
+        if kind == "pow":
             payload = [Fraction(1)] + [Fraction(0)] * order
         else:
-            a, b, c = map(as_fraction, t.params)
+            a, b, c = map(as_fraction, params)
             payload = [Fraction(1)]
             term = Fraction(1)
             for n in range(order):

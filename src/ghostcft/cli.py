@@ -26,7 +26,7 @@ from . import kzbpz as kz
 from . import modealg
 from .blocks import BlockSum, PowerSum
 from .errors import GhostCftError
-from .scalars import all_exact, parse_charge, to_complex
+from .scalars import all_exact, is_half_odd_integer, parse_charge, to_complex
 
 
 def _atomic_write(path: str, text: str) -> None:
@@ -364,9 +364,7 @@ def cmd_scan(args) -> int:
     charges = _charges(args.charges)
     j1, j2 = charges[:2]
     j4 = parse_charge(args.j4)
-    log_regime = (2 * to_complex(j4)).imag == 0 and abs(
-        2 * to_complex(j4).real - round(2 * to_complex(j4).real)
-    ) < 1e-12 and round(2 * to_complex(j4).real) % 2 == 1
+    log_regime = is_half_odd_integer(j4)
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(

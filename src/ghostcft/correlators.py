@@ -34,7 +34,6 @@ from .scalars import (
     is_exact,
     is_half_odd_integer,
     is_integer,
-    is_zero,
     to_complex,
 )
 
@@ -195,10 +194,6 @@ def three_point(j1, j2, j3, ell: int, w1, w2, w3, constant: Scalar = 1) -> Scala
 def block_l1(j3: Scalar, eta: Scalar, constant: Scalar = 1) -> Scalar:
     """eta^{j3}: the general-charge flow-1 solution."""
     return constant * cpow(eta, j3)
-
-
-def block_l1_powersum(j3: Scalar, constant: Scalar = 1) -> PowerSum:
-    return PowerSum.single(constant, j3, 0)
 
 
 def blocks_l1(j2, j4, eta, degenerate: str = "strict") -> Tuple[Scalar, Scalar]:
@@ -369,27 +364,10 @@ def bulk_l2(j1, j2, j4, eta, alpha11: float, winding0: int = 0,
     return total
 
 
-def bulk_l2_crossterm(j1, j2, j4, eta, alpha11: float = 1.0) -> complex:
-    """Coefficient structure of the branch-crossing terms in the expansion
-    of the bulk correlator around eta = 1; vanishes identically when
-    alpha22/alpha11 takes the monodromy-fixed value."""
-    alpha22 = monodromy_ratio_l2(j1, j2, j4) * alpha11
-    (a1, b1, c1), (a2, b2, c2) = blocks_l2_params(j1, j2, j4)
-    x = 1 - to_complex(eta)
-    g1 = specfun.hyp2f1(a1, b1, a1 + b1 - c1 + 1, x)
-    h1 = specfun.hyp2f1(c1 - a1, c1 - b1, c1 - a1 - b1 + 1, x)
-    g2 = specfun.hyp2f1(a2, b2, a2 + b2 - c2 + 1, x)
-    h2 = specfun.hyp2f1(c2 - a2, c2 - b2, c2 - a2 - b2 + 1, x)
-    ca1, cb1 = specfun.connection_coeffs_01(specfun.Hyp2F1Params(a1, b1, c1))
-    ca2, cb2 = specfun.connection_coeffs_01(specfun.Hyp2F1Params(a2, b2, c2))
-    etac = to_complex(eta)
-    return alpha11 * ca1 * cb1 * g1 * h1 + alpha22 * cpow(
-        etac, 1 - 2 * to_complex(j4)
-    ) * ca2 * cb2 * g2 * h2
-
-
 def bulk_l2_crossterm_residual(j1, j2, j4, eta, alpha11: float = 1.0) -> float:
-    """|cross term| relative to the size of its two contributions."""
+    """The branch-crossing terms in the expansion of the bulk correlator
+    around eta = 1, relative to the size of their two contributions; they
+    vanish identically when alpha22/alpha11 takes the monodromy-fixed value."""
     alpha22 = monodromy_ratio_l2(j1, j2, j4) * alpha11
     (a1, b1, c1), (a2, b2, c2) = blocks_l2_params(j1, j2, j4)
     x = 1 - to_complex(eta)

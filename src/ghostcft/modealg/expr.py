@@ -15,7 +15,9 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from typing import Dict, Iterable, Optional, Tuple
+from typing import Dict, Tuple
+
+from ..lincomb import LinComb, accumulate
 
 BETA = "b"
 GAMMA = "g"
@@ -77,18 +79,11 @@ def _annihilator_key(m: Mode):
     return (_FAMILY_ORDER[m[0]], m[1])
 
 
-class ModeExpr:
+class ModeExpr(LinComb):
     """Finite linear combination of words with exact rational coefficients."""
 
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: Optional[Dict[Word, Fraction]] = None):
-        self.terms: Dict[Word, Fraction] = {}
-        for word, coeff in (terms or {}).items():
-            if coeff == 0:
-                continue
-            self.terms[word] = self.terms.get(word, Fraction(0)) + coeff
-        self.terms = {w: c for w, c in self.terms.items() if c != 0}
+    __slots__ = ()
+    exact = True
 
     # -- constructors ---------------------------------------------------
     @classmethod
@@ -124,19 +119,6 @@ class ModeExpr:
         return cls.of(mode(SINGLET, n))
 
     # -- algebra ---------------------------------------------------------
-    def __add__(self, other: "ModeExpr") -> "ModeExpr":
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            out[w] = out.get(w, Fraction(0)) + c
-        return ModeExpr(out)
-
-    def __sub__(self, other: "ModeExpr") -> "ModeExpr":
-        return self + other.scale(-1)
-
-    def scale(self, factor) -> "ModeExpr":
-        f = Fraction(factor)
-        return ModeExpr({w: f * c for w, c in self.terms.items()})
-
     def __mul__(self, other: "ModeExpr") -> "ModeExpr":
         out: Dict[Word, Fraction] = {}
         for w1, c1 in self.terms.items():
@@ -145,19 +127,8 @@ class ModeExpr:
                 out[key] = out.get(key, Fraction(0)) + c1 * c2
         return ModeExpr(out)
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def is_pure_ghost(self) -> bool:
         return all(m[0] in _GHOST_FAMILIES for w in self.terms for m in w)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, ModeExpr):
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
 
     # -- serialization ---------------------------------------------------
     def to_text(self) -> str:
@@ -250,7 +221,7 @@ def commutator(x: ModeExpr, y: ModeExpr) -> ModeExpr:
 def spectral_flow_map(expr: ModeExpr, ell: int) -> ModeExpr:
     """The flow automorphism: b_n -> b_{n-ell}, g_n -> g_{n+ell},
     J_n -> J_n + ell delta_{n,0}, L_n -> L_n - ell J_n - ell(ell-1)/2 delta_{n,0}."""
-    result = ModeExpr.zero()
+    out: Dict[Word, Fraction] = {}
     for word, coeff in expr.terms.items():
         factor = ModeExpr.one(coeff)
         for fam, n in word:
@@ -269,5 +240,5 @@ def spectral_flow_map(expr: ModeExpr, ell: int) -> ModeExpr:
             else:
                 raise ValueError(f"spectral flow of {fam!r} modes is not defined")
             factor = factor * piece
-        result = result + factor
-    return result
+        accumulate(out, factor.terms)
+    return ModeExpr(out)

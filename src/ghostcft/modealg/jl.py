@@ -15,6 +15,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
 from ..errors import TruncationError
+from ..lincomb import LinComb, accumulate
 from .expr import CURRENT, VIRASORO, Mode, jj_pairs, mode
 
 _RANK = {CURRENT: 0, VIRASORO: 1}
@@ -24,48 +25,26 @@ Word = Tuple[Mode, ...]
 CENTRAL_CHARGE = Fraction(2)
 
 
-class JLVector:
+class JLVector(LinComb):
     """Exact vector J_{a_1}..J_{a_p} L_{b_1}..L_{b_q} |j, h> in PBW form."""
 
-    __slots__ = ("j", "h", "terms")
+    __slots__ = ("j", "h")
+    exact = True
 
     def __init__(self, j, h, terms: Optional[Dict[Word, Fraction]] = None):
         self.j = Fraction(j)
         self.h = Fraction(h)
-        merged: Dict[Word, Fraction] = {}
-        for w, c in (terms or {}).items():
-            if c == 0:
-                continue
-            merged[w] = merged.get(w, Fraction(0)) + c
-        self.terms = {w: c for w, c in merged.items() if c != 0}
+        LinComb.__init__(self, terms)
 
     @classmethod
     def highest_weight(cls, j, h) -> "JLVector":
         return cls(j, h, {(): Fraction(1)})
 
+    def base(self) -> Tuple[Fraction, Fraction]:
+        return (self.j, self.h)
+
     def _like(self, terms: Dict[Word, Fraction]) -> "JLVector":
         return JLVector(self.j, self.h, terms)
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __add__(self, other: "JLVector") -> "JLVector":
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            out[w] = out.get(w, Fraction(0)) + c
-        return self._like(out)
-
-    def __sub__(self, other: "JLVector") -> "JLVector":
-        return self + other.scale(-1)
-
-    def scale(self, factor) -> "JLVector":
-        f = Fraction(factor)
-        return self._like({w: f * c for w, c in self.terms.items()})
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, JLVector):
-            return NotImplemented
-        return (self.j, self.h, self.terms) == (other.j, other.h, other.terms)
 
     def __repr__(self) -> str:
         if not self.terms:
@@ -107,32 +86,38 @@ def _canonical_before(x: Mode, head: Mode) -> bool:
 
 def apply_mode(x: Mode, vec: JLVector) -> JLVector:
     """Exact action of J_n or L_n, reducing to PBW canonical form."""
-    out = vec._like({})
+    out: Dict[Word, Fraction] = {}
     for word, coeff in vec.terms.items():
-        out = out + _mode_times_word(x, word, vec).scale(coeff)
-    return out
+        _mode_times_word(x, word, vec, coeff, out)
+    return vec._like(out)
 
 
-def _mode_times_word(x: Mode, word: Word, proto: JLVector) -> JLVector:
+def _mode_times_word(x: Mode, word: Word, proto: JLVector, coeff, out) -> None:
+    """out += coeff * x word |j, h>, in PBW form."""
     fam, n = x
     if not word:
-        if n > 0:
-            return proto._like({})
         if n == 0:
             eigen = proto.j if fam == CURRENT else proto.h
-            return proto._like({(): eigen})
-        return proto._like({(x,): Fraction(1)})
+            out[()] = out.get((), 0) + coeff * eigen
+        elif n < 0:
+            out[(x,)] = out.get((x,), 0) + coeff
+        return
     head, rest = word[0], word[1:]
     if n < 0 and _canonical_before(x, head):
-        return proto._like({(x,) + word: Fraction(1)})
-    inner = _mode_times_word(x, rest, proto)
-    total = apply_mode(head, inner)
-    for coeff, md in _bracket(x, head):
+        key = (x,) + word
+        out[key] = out.get(key, 0) + coeff
+        return
+    # x head rest = head (x rest) + [x, head] rest
+    inner: Dict[Word, Fraction] = {}
+    _mode_times_word(x, rest, proto, coeff, inner)
+    for w, c in inner.items():
+        if c:
+            _mode_times_word(head, w, proto, c, out)
+    for c, md in _bracket(x, head):
         if md is None:
-            total = total + proto._like({rest: coeff})
+            out[rest] = out.get(rest, 0) + coeff * c
         else:
-            total = total + _mode_times_word(md, rest, proto).scale(coeff)
-    return total
+            _mode_times_word(md, rest, proto, coeff * c, out)
 
 
 def apply_current(vec: JLVector, n: int) -> JLVector:
@@ -146,7 +131,7 @@ def apply_virasoro(vec: JLVector, n: int) -> JLVector:
 def apply_current_squared(vec: JLVector, n: int) -> JLVector:
     """(JJ)_n = sum_a :J_a J_{n-a}:, larger index acting first."""
     w = vec.max_depth() + abs(n) + 4
-    total = vec._like({})
+    out: Dict[Word, Fraction] = {}
     for lo, hi, mult, edge in jj_pairs(n, w):
         inner = apply_current(vec, hi)
         if inner.is_zero():
@@ -154,13 +139,14 @@ def apply_current_squared(vec: JLVector, n: int) -> JLVector:
         piece = apply_current(inner, lo)
         if edge and not piece.is_zero():
             raise TruncationError("JJ window boundary term non-zero")
-        total = total + piece.scale(mult)
-    return total
+        accumulate(out, piece.terms, mult)
+    return vec._like(out)
 
 
 def apply_singlet(vec: JLVector, n: int) -> JLVector:
     """Ls_n = L_n + (1/2)(JJ)_n - ((n+1)/2) J_n."""
-    out = apply_virasoro(vec, n)
-    out = out + apply_current_squared(vec, n).scale(Fraction(1, 2))
-    out = out + apply_current(vec, n).scale(Fraction(-(n + 1), 2))
-    return out
+    out: Dict[Word, Fraction] = {}
+    accumulate(out, apply_virasoro(vec, n).terms)
+    accumulate(out, apply_current_squared(vec, n).terms, Fraction(1, 2))
+    accumulate(out, apply_current(vec, n).terms, Fraction(-(n + 1), 2))
+    return vec._like(out)

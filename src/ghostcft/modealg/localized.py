@@ -12,26 +12,20 @@ while L_0 is untouched.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 from ..errors import ContextError
+from ..lincomb import LinComb, accumulate
 from .expr import BETA, GAMMA, Mode, ModeExpr, Word, is_annihilator, mode, normal_order
 
 LocalKey = Tuple[int, Word]  # (gamma_0 power, gamma_0-free ghost word)
 
 
-class LocalExpr:
+class LocalExpr(LinComb):
     """Linear combination of g0^p * (normal-ordered gamma_0-free word)."""
 
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: Optional[Dict[LocalKey, Fraction]] = None):
-        merged: Dict[LocalKey, Fraction] = {}
-        for key, coeff in (terms or {}).items():
-            if coeff == 0:
-                continue
-            merged[key] = merged.get(key, Fraction(0)) + coeff
-        self.terms = {k: v for k, v in merged.items() if v != 0}
+    __slots__ = ()
+    exact = True
 
     @classmethod
     def zero(cls) -> "LocalExpr":
@@ -60,27 +54,6 @@ class LocalExpr:
     def gamma(cls, n: int) -> "LocalExpr":
         return cls.of_mode(mode(GAMMA, n))
 
-    def __add__(self, other: "LocalExpr") -> "LocalExpr":
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            out[k] = out.get(k, Fraction(0)) + c
-        return LocalExpr(out)
-
-    def __sub__(self, other: "LocalExpr") -> "LocalExpr":
-        return self + other.scale(-1)
-
-    def scale(self, factor) -> "LocalExpr":
-        f = Fraction(factor)
-        return LocalExpr({k: f * c for k, c in self.terms.items()})
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, LocalExpr):
-            return NotImplemented
-        return self.terms == other.terms
-
     def __repr__(self) -> str:
         if not self.terms:
             return "LocalExpr[0]"
@@ -94,11 +67,11 @@ class LocalExpr:
         return "LocalExpr[" + " + ".join(bits) + "]"
 
     def __mul__(self, other: "LocalExpr") -> "LocalExpr":
-        out = LocalExpr.zero()
+        out: Dict[LocalKey, Fraction] = {}
         for (p1, w1), c1 in self.terms.items():
             for (p2, w2), c2 in other.terms.items():
-                out = out + _normalize_product(p1, w1, p2, w2).scale(c1 * c2)
-        return out
+                accumulate(out, _normalize_product(p1, w1, p2, w2).terms, c1 * c2)
+        return LocalExpr(out)
 
     def commutator(self, other: "LocalExpr") -> "LocalExpr":
         return self * other - other * self
@@ -111,17 +84,13 @@ def _normalize_product(p1: int, w1: Word, p2: int, w2: Word) -> LocalExpr:
     if p2 == 0:
         merged = _normal_order_word(w1 + w2)
         return LocalExpr({(p1, w): c for w, c in merged.items()})
-    out = LocalExpr.zero()
     # find the rightmost b_0 in w1; if none, the powers merge
     for idx in range(len(w1) - 1, -1, -1):
         if w1[idx] == (BETA, 0):
             left, right = w1[:idx], w1[idx + 1 :]
             # b_0 g0^{p2} = g0^{p2} b_0 - p2 g0^{p2-1}
-            out = out + _normalize_product(p1, left, p2, ((BETA, 0),) + right + w2)
-            out = out + _normalize_product(
-                p1, left, p2 - 1, right + w2
-            ).scale(Fraction(-p2))
-            return out
+            return _normalize_product(p1, left, p2, ((BETA, 0),) + right + w2) - (
+                _normalize_product(p1, left, p2 - 1, right + w2).scale(p2))
     merged = _normal_order_word(w1 + w2)
     return LocalExpr({(p1 + p2, w): c for w, c in merged.items()})
 
@@ -146,7 +115,7 @@ def localized_twist(e: LocalExpr, k) -> LocalExpr:
             "wrap the expression in LocalExpr first"
         )
     kf = Fraction(k)
-    out = LocalExpr.zero()
+    out: Dict[LocalKey, Fraction] = {}
     for (p, w), c in e.terms.items():
         factor = LocalExpr.g0_power(p, c)
         for m in w:
@@ -155,8 +124,8 @@ def localized_twist(e: LocalExpr, k) -> LocalExpr:
             else:
                 piece = LocalExpr.of_mode(m)
             factor = factor * piece
-        out = out + factor
-    return out
+        accumulate(out, factor.terms)
+    return LocalExpr(out)
 
 
 def charge_zero_mode_localized() -> LocalExpr:
@@ -168,8 +137,8 @@ def charge_zero_mode_localized() -> LocalExpr:
 def virasoro_zero_window(window: int) -> LocalExpr:
     """L_0's bilinear sum truncated to |index| <= window; contains no b_0,
     hence is fixed by every Theta_k."""
-    out = LocalExpr.zero()
+    out: Dict[LocalKey, Fraction] = {}
     for c in range(1, window + 1):
-        out = out + LocalExpr.beta(-c) * LocalExpr.gamma(c) .scale(c)
-        out = out + LocalExpr.gamma(-c) * LocalExpr.beta(c) .scale(-c)
-    return out
+        accumulate(out, (LocalExpr.beta(-c) * LocalExpr.gamma(c)).terms, c)
+        accumulate(out, (LocalExpr.gamma(-c) * LocalExpr.beta(c)).terms, -c)
+    return LocalExpr(out)

@@ -38,6 +38,7 @@ from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from ..errors import TruncationError
+from ..lincomb import LinComb, accumulate
 from .expr import (
     BETA, CURRENT, GAMMA, SINGLET, VIRASORO, Mode, ModeExpr, Word, jj_pairs, mode,
 )
@@ -50,7 +51,7 @@ def _sort_monomial(modes: Iterable[Mode]) -> Monomial:
     return tuple(sorted(modes, key=lambda m: (m[0], -m[1])))
 
 
-class GhostState:
+class GhostState(LinComb):
     """Exact vector in (a spectral flow of) a relaxed module.
 
     base charge j (exact rational), flow ell; terms map (creators, k) to the
@@ -58,51 +59,25 @@ class GhostState:
     indices a composite action may touch; None means automatic (exact).
     """
 
-    __slots__ = ("j", "ell", "terms", "truncation_level")
+    __slots__ = ("j", "ell", "truncation_level")
+    exact = True
 
     def __init__(self, j, ell: int = 0, terms: Optional[Dict[StateKey, Fraction]] = None,
                  truncation_level: Optional[int] = None):
         self.j = Fraction(j)
         self.ell = int(ell)
         self.truncation_level = truncation_level
-        merged: Dict[StateKey, Fraction] = {}
-        for key, coeff in (terms or {}).items():
-            if coeff == 0:
-                continue
-            merged[key] = merged.get(key, Fraction(0)) + coeff
-        self.terms = {k: v for k, v in merged.items() if v != 0}
+        LinComb.__init__(self, terms)
 
     @classmethod
     def primary(cls, j, ell: int = 0, truncation_level: Optional[int] = None) -> "GhostState":
         return cls(j, ell, {((), 0): Fraction(1)}, truncation_level)
 
+    def base(self) -> Tuple[Fraction, int]:
+        return (self.j, self.ell)
+
     def _like(self, terms: Dict[StateKey, Fraction]) -> "GhostState":
         return GhostState(self.j, self.ell, terms, self.truncation_level)
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __add__(self, other: "GhostState") -> "GhostState":
-        assert (self.j, self.ell) == (other.j, other.ell), "incompatible base"
-        out = dict(self.terms)
-        for key, c in other.terms.items():
-            out[key] = out.get(key, Fraction(0)) + c
-        return self._like(out)
-
-    def __sub__(self, other: "GhostState") -> "GhostState":
-        return self + other.scale(-1)
-
-    def scale(self, factor) -> "GhostState":
-        f = Fraction(factor)
-        return self._like({k: f * c for k, c in self.terms.items()})
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, GhostState):
-            return NotImplemented
-        return (self.j, self.ell, self.terms) == (other.j, other.ell, other.terms)
-
-    def __hash__(self):
-        return hash((self.j, self.ell, frozenset(self.terms.items())))
 
     def to_text(self) -> str:
         if not self.terms:
@@ -193,7 +168,7 @@ def apply_word(state: GhostState, word: Word) -> GhostState:
 def act(expr: ModeExpr, state: GhostState) -> GhostState:
     out: Dict[StateKey, Fraction] = {}
     for word, coeff in expr.terms.items():
-        _accumulate(out, apply_word(state, word).terms, coeff)
+        accumulate(out, apply_word(state, word).terms, coeff)
     return state._like(out)
 
 
@@ -203,11 +178,6 @@ def _window(state: GhostState, n: int) -> int:
     w = state.max_depth() + abs(n) + abs(state.ell) + 4
     state._check_cap(w)
     return w
-
-
-def _accumulate(acc: Dict[StateKey, Fraction], terms: Dict[StateKey, Fraction], factor) -> None:
-    for key, c in terms.items():
-        acc[key] = acc.get(key, 0) + factor * c
 
 
 def _on_primary(j: Fraction, ell: int, n: int, weight, eigenvalue):
@@ -286,16 +256,16 @@ def act_current_squared(state: GhostState, n: int) -> GhostState:
         piece = act_current(inner, lo)
         if edge and not piece.is_zero():
             raise TruncationError("JJ window boundary term non-zero; widen cap")
-        _accumulate(out, piece.terms, mult)
+        accumulate(out, piece.terms, mult)
     return state._like(out)
 
 
 def act_singlet(state: GhostState, n: int) -> GhostState:
     """Ls_n = L_n + (1/2)(JJ)_n - ((n+1)/2) J_n."""
     out: Dict[StateKey, Fraction] = {}
-    _accumulate(out, act_virasoro(state, n).terms, 1)
-    _accumulate(out, act_current_squared(state, n).terms, Fraction(1, 2))
-    _accumulate(out, act_current(state, n).terms, Fraction(-(n + 1), 2))
+    accumulate(out, act_virasoro(state, n).terms)
+    accumulate(out, act_current_squared(state, n).terms, Fraction(1, 2))
+    accumulate(out, act_current(state, n).terms, Fraction(-(n + 1), 2))
     return state._like(out)
 
 

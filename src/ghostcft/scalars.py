@@ -9,6 +9,7 @@ a signed-zero imaginary part.
 from __future__ import annotations
 
 import cmath
+import math
 from fractions import Fraction
 from typing import Union
 
@@ -37,12 +38,6 @@ def to_complex(x: Scalar) -> complex:
     if isinstance(x, Fraction):
         return complex(x.numerator / x.denominator)
     return complex(x)
-
-
-def is_zero(x: Scalar, tol: float = 0.0) -> bool:
-    if is_exact(x):
-        return x == 0
-    return abs(to_complex(x)) <= tol
 
 
 def is_nonpositive_integer(z: Scalar, tol: float = 1e-12) -> bool:
@@ -109,11 +104,15 @@ def cpow(w: Scalar, p: Scalar) -> Scalar:
 
 
 def parse_charge(text: str) -> Scalar:
-    """Parse a charge given as an exact fraction ('3/4', '-2') or decimal."""
+    """Parse a charge given as an exact fraction ('3/4', '-2') or a finite
+    decimal; anything else raises ValueError."""
     text = text.strip()
     try:
-        return Fraction(text) if ("/" in text or "." not in text) else float(text)
+        value = Fraction(text) if ("/" in text or "." not in text) else float(text)
     except ValueError:
-        return float(text)
+        value = float(text)
     except ZeroDivisionError:
         raise ValueError(f"charge {text!r} has a zero denominator") from None
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ValueError(f"charge {text!r} is not finite")
+    return value

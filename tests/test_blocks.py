@@ -22,6 +22,21 @@ def test_powersum_merge_and_zero():
     assert tot.terms == {(half, Fraction(0)): Fraction(8)}
 
 
+def test_mul_power_adds_colliding_float_keys():
+    # 0.1 + 0.2 != 0.3 as floats, but both exponents shift to 1.3
+    ps = PowerSum({(0.1 + 0.2, 0): 1.0, (0.3, 0): 1.0}).mul_power(1)
+    assert ps.terms == {(1.3, 0): 2.0}
+    bs = (BlockSum.power(1.0, 0.1 + 0.2) + BlockSum.power(1.0, 0.3)).mul_power(1)
+    assert bs.terms == {(1.3, 0, "pow", ()): 2.0}
+
+
+def test_blocksum_merges_like_terms():
+    bs = BlockSum.hyp2f1(1.0, 0.5, 0, 0.3, 0.4, 1.2) + BlockSum.hyp2f1(
+        2.0, 0.5, 0, 0.3, 0.4, 1.2)
+    assert bs.terms == {(0.5, 0, "2f1", (0.3, 0.4, 1.2)): 3.0}
+    assert (bs - bs.scale(1.0)).is_zero()
+
+
 def test_powersum_derivative_matches_fd():
     ps = PowerSum.single(Fraction(3, 2), half, Fraction(-1, 4)) + PowerSum.single(
         Fraction(-2, 3), Fraction(7, 5), Fraction(2)

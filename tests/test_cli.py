@@ -90,6 +90,19 @@ def test_recurse_exact_output(capsys):
     assert payload["final_charges"][2] == "7/2"
 
 
+def test_recurse_numeric_flow_one(capsys):
+    code, out = run(
+        capsys, "recurse", "--ell", "1", "--charges=0.18,0.86,1.54,-1.58",
+        "--k", "8", "--eta-grid", "0.2,0.6,3",
+    )
+    assert code == 0
+    values = json.loads(out)["values"]
+    assert len(values) == 3
+    for v in values:
+        want = v["eta"] ** (1.54 + 8)
+        assert abs(complex(v["re"], v["im"]) - want) <= 1e-12 * want
+
+
 def test_identity_check_passes(capsys):
     code, out = run(capsys, "identity-check", "--k", "4", "--draws", "8")
     assert code == 0
@@ -146,6 +159,8 @@ def test_configuration_error_exit_code(capsys):
     ["residual", "--op", "ward", "--ell", "1", "--charges", "0.3,abc"],
     ["residual", "--op", "ward", "--ell", "1", "--charges", "1/0,0.4"],
     ["eval", "--op", "blocks-l2", "--ell", "2", "--charges", "0.3,0.4,1/2,0.8"],
+    ["eval", "--op", "two-point", "--charges", "nan,1/2"],
+    ["eval", "--op", "two-point", "--charges", "inf,0.4"],
 ])
 def test_bad_input_exit_code(capsys, argv):
     assert main(argv) == 2

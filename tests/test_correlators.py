@@ -130,6 +130,16 @@ def test_block_l1_values():
     assert rel_err(d, j3 / eta * co.block_l1(j3, eta)) < 1e-8
 
 
+def test_blocks_l1_match_their_blocksums():
+    j2, j4 = 0.35, 0.27
+    power = BlockSum.power(1, 0.5, 0)
+    beta = BlockSum.incomplete_beta(1, 0.5, 0, -j4 + 0.5, -j2 + 0.5)
+    for eta in (0.13, 0.5, 0.81):
+        b1, b2 = co.blocks_l1(j2, j4, eta)
+        assert_close(b1, power.value(eta), 1e-14)
+        assert_close(b2, beta.value(eta), 1e-12)
+
+
 def test_blocks_l2_leading_exponents():
     j1, j2 = 0.35, 0.8
     j4 = 1.5 - j1 - j2
@@ -341,6 +351,17 @@ def test_conj_block_l3_reduces_at_probe_charge():
     got = co.conj_block_l3(j1, j2, 0.5, j4, eta)
     want = co.block_l3(j1, j2, j4, eta)
     assert rel_err(got, want) < 1e-12
+
+
+def test_conj_block_l3_powersum_matches_numeric():
+    j1, j2 = Fraction(7, 20), Fraction(4, 5)
+    for j3 in (half, Fraction(5, 2), Fraction(9, 2)):
+        j4 = 3 - j1 - j2 - j3
+        ps = co.conj_block_l3_powersum(j1, j2, j3, j4)
+        assert ps.is_exact()
+        for eta in (0.2, 0.37, 0.6):
+            want = co.conj_block_l3(float(j1), float(j2), float(j3), float(j4), eta)
+            assert rel_err(complex(ps.eval(eta)), want) < 1e-12
 
 
 def test_conj_block_l3_minus_half_prefactor():

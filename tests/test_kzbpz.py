@@ -355,6 +355,42 @@ def test_recursion_flow_three_matches_conjecture(rng):
             assert rel_err(got, want) < 1e-10
 
 
+def test_recursion_flow_one_numeric_colliding_exponents():
+    # float exponents that differ in the last bit meet after a shift; their
+    # coefficients must add, not overwrite each other
+    charges = (0.18, 0.86, 1.54, -1.58)
+    out = kz.recursion_iterate(PowerSum.single(1.0, 1.54), charges, 1, 8)
+    for eta in (0.2, 0.4, 0.6):
+        want = eta ** (1.54 + 8)
+        assert abs(complex(out.eval(eta)) - want) <= 1e-12 * want
+
+
+def test_recursion_deep_numeric(rng):
+    # k = 20 steps keep (k+1)^2 merged terms.  At eta <= 0.2 the sums and
+    # the closed forms agree to 1e-9; at larger eta both lose digits to
+    # cancellation as k grows.
+    k = 20
+    for _ in range(3):
+        j4 = 0.5  # flow-2 blocks degenerate at half-odd-integer j4
+        while abs(2 * j4 - round(2 * j4)) < 0.05:
+            j1, j2 = rng.uniform(0.1, 0.6), rng.uniform(0.1, 0.9)
+            j4 = 1.5 - j1 - j2
+        etas = [rng.uniform(0.05, 0.2) for _ in range(2)]
+        for which, blk in enumerate(co.blocks_l2_blocksums(j1, j2, j4)):
+            out = kz.recursion_iterate(blk, (j1, j2, 0.5, j4), 2, k)
+            assert len(out.terms) == (k + 1) ** 2
+            for eta in etas:
+                want = co.conj_blocks_l2(j1, j2, 0.5 + k, j4 - k, eta)[which]
+                assert abs(out.value(eta) - want) <= 1e-9 * abs(want)
+        j4 = 2.5 - j1 - j2
+        blk = BlockSum.power(1.0, -j4 + 2, -j2 + 0.5)
+        out = kz.recursion_iterate(blk, (j1, j2, 0.5, j4), 3, k)
+        assert len(out.terms) == (k + 1) ** 2
+        for eta in etas:
+            want = co.conj_block_l3(j1, j2, 0.5 + k, j4 - k, eta)
+            assert abs(out.value(eta) - want) <= 1e-9 * abs(want)
+
+
 def test_recursion_linearity_and_modes_agree():
     j1, j2 = Fraction(7, 20), Fraction(4, 5)
     j4 = 3 - j1 - j2 - half
