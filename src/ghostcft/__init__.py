@@ -10,7 +10,7 @@ tying the flow-2 blocks to generalized hypergeometric values.
 
 from . import blocks, correlators, identities, kzbpz, modealg, specfun
 from .blocks import BlockSum, PowerSum
-from .correlators import CorrelatorSpec, GhostPrimary, PrimaryField, WardForm
+from .correlators import CorrelatorSpec, GhostPrimary, WardForm
 from .kzbpz import ResidualReport, recursion_iterate, recursion_step
 
 __version__ = "0.1.0"
@@ -20,7 +20,6 @@ __all__ = [
     "CorrelatorSpec",
     "GhostPrimary",
     "PowerSum",
-    "PrimaryField",
     "ResidualReport",
     "WardForm",
     "blocks",

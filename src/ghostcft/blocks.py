@@ -155,8 +155,7 @@ class PowerSum(LinComb):
         return BlockSum({(p, q, "pow", ()): c for (p, q), c in self.terms.items()})
 
 
-def _payload_value(kind: str, params: Tuple[Scalar, ...], eta: Scalar,
-                  degenerate: str = "strict") -> Scalar:
+def _payload_value(kind: str, params: Tuple[Scalar, ...], eta: Scalar) -> Scalar:
     """The payload of a BlockSum term at eta.
 
     kind: 'pow' (payload 1), '2f1' (params (a,b,c), argument eta),
@@ -167,7 +166,7 @@ def _payload_value(kind: str, params: Tuple[Scalar, ...], eta: Scalar,
         return 1
     if kind == "2f1":
         a, b, c = params
-        return specfun.hyp2f1(a, b, c, eta, degenerate=degenerate)
+        return specfun.hyp2f1(a, b, c, eta)
     if kind == "3f2w":
         w = -to_complex(eta) / (1 - to_complex(eta))
         return specfun.hyp3f2(*params, w)
@@ -237,11 +236,18 @@ class BlockSum(LinComb):
                 add((p + a - 1, q + b - 1, "pow", ()), c)
         return BlockSum(out)
 
-    def value(self, eta: Scalar, degenerate: str = "strict") -> complex:
+    def value(self, eta: Scalar) -> complex:
         one_minus = 1 - to_complex(eta)
-        return sum((to_complex(c * cpow(eta, p) * cpow(one_minus, q)
-                               * _payload_value(kind, params, eta, degenerate))
-                    for (p, q, kind, params), c in self.terms.items()), 0j)
+        total = 0j
+        for (p, q, kind, params), c in self.terms.items():
+            # a factor (1-eta)^0 or a payload 1 is skipped, not multiplied in
+            term = c * cpow(eta, p)
+            if q != 0:
+                term = term * cpow(one_minus, q)
+            if kind != "pow":
+                term = term * _payload_value(kind, params, eta)
+            total += term  # an exact term converts to complex here
+        return total
 
     def exact_value_terminating(self, eta: Scalar):
         """Exact evaluation when every payload terminates and inputs are exact."""

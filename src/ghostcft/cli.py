@@ -24,7 +24,7 @@ from . import correlators as co
 from . import identities as idn
 from . import kzbpz as kz
 from . import modealg
-from .blocks import BlockSum, PowerSum
+from .blocks import PowerSum
 from .errors import GhostCftError
 from .scalars import all_exact, is_half_odd_integer, parse_charge, to_complex
 
@@ -140,21 +140,12 @@ def cmd_eval(args) -> int:
 def _ward_reports(charges, ell, tolerance, seed):
     rng = random.Random(seed)
     n = len(charges)
+    h_block = None  # the WardForm default, H = 1
     if n == 4:
-        h_block = BlockSum.power(rng.uniform(0.5, 1.5), rng.uniform(-0.7, 0.7),
-                                 rng.uniform(-0.7, 0.7))
-    else:
-        h_block = BlockSum.constant(1)
-    if n == 4:
+        h_block = PowerSum.single(rng.uniform(0.5, 1.5), rng.uniform(-0.7, 0.7),
+                                  rng.uniform(-0.7, 0.7))
+    if 2 <= n <= 4:
         cs, ws = co.standard_frame_data(*charges, ell)
-    elif n == 3:
-        j1, j2, j3 = charges
-        cs = [j1, j2, j3 - ell]
-        ws = [0, 0, j3 * ell - Fraction(ell * (ell + 1), 2)]
-    elif n == 2:
-        j1, j2 = charges
-        cs = [j1, j2 - ell]
-        ws = [0, j2 * ell - Fraction(ell * (ell + 1), 2)]
     else:
         cs, ws = list(charges), [0] * n
     form = co.WardForm(cs, ws, h_block)
@@ -202,33 +193,15 @@ def _bpz_reports(charges, ell, tolerance, seed):
         )
     else:
         j1, j2, j3, j4 = charges
-        blocks = _fourpoint_blocks(j1, j2, j4, ell)
-        for name, blk in blocks:
+        blocks = co.fourpoint_blocksums(ell, j1, j2, j4)
+        names = ("block1", "block2") if ell == 2 else ("power", "beta")
+        for name, blk in zip(names, blocks):
             F = co.unspecialize_block(blk, j1, j2, j3, j4, ell)
             reports.append(
                 kz.bpz_residual(F, 2, F.charges, F.weights, points,
-                                tolerance=tolerance, label=f"bpz-4pt-{name}")
+                                tolerance=tolerance, label=f"bpz-4pt-l{ell}-{name}")
             )
     return reports
-
-
-def _fourpoint_blocks(j1, j2, j4, ell):
-    if ell == 1:
-        return [
-            ("l1-power", BlockSum.power(1, 0.5, 0)),
-            ("l1-beta", BlockSum.incomplete_beta(
-                1, 0.5, 0, -to_complex(j4) + 0.5, -to_complex(j2) + 0.5)),
-        ]
-    if ell == 2:
-        b1, b2 = co.blocks_l2_blocksums(j1, j2, j4)
-        return [("l2-block1", b1), ("l2-block2", b2)]
-    if ell == 3:
-        power = BlockSum.power(1, -to_complex(j4) + 2, -to_complex(j2) + 0.5)
-        beta = BlockSum.incomplete_beta(
-            1, -to_complex(j4) + 2, -to_complex(j2) + 0.5,
-            to_complex(j4) - 0.5, to_complex(j2) - 0.5)
-        return [("l3-power", power), ("l3-beta", beta)]
-    raise ValueError("4-point blocks exist for ell in {1, 2, 3}")
 
 
 def cmd_residual(args) -> int:
@@ -278,14 +251,15 @@ def cmd_recurse(args) -> int:
     exact = all_exact(j1, j2, j3, j4)
     ell = args.ell
     if ell == 1:
-        block = PowerSum.single(Fraction(1) if exact else 1.0, j3)
+        block = kz.FourPointL1Family(Fraction(1) if exact else 1.0).specialized(charges)
     elif ell == 2:
-        block = co.blocks_l2_blocksums(j1, j2, j4)[0 if args.block == 1 else 1]
+        block = co.fourpoint_blocksums(2, j1, j2, j4)[args.block - 1]
     elif ell == 3:
+        # the monodromy-selected power block; exact inputs keep it exact
         block = (
             co.block_l3_powersum(j1, j2, j4)
             if exact
-            else BlockSum.power(1.0, -to_complex(j4) + 2, -to_complex(j2) + 0.5)
+            else co.fourpoint_blocksums(3, j1, j2, j4)[0]
         )
     else:
         raise ValueError("recursion families exist for ell in {1, 2, 3}")

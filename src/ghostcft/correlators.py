@@ -15,7 +15,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple
 
 from . import specfun
 from .blocks import BlockSum, PowerSum, as_blocksum
@@ -63,26 +63,13 @@ class GhostPrimary:
         return self.j - self.ell
 
 
-@dataclass(frozen=True)
-class PrimaryField:
-    """Generic highest-weight field: zero-mode charge and conformal weight."""
-
-    charge: Scalar
-    weight: Scalar
-
-    @classmethod
-    def from_ghost(cls, p: GhostPrimary) -> "PrimaryField":
-        return cls(p.j0_charge, p.weight)
-
-
 @dataclass
 class CorrelatorSpec:
     """An ordered insertion list; points may start with None meaning the
     bra at infinity (specialized frame)."""
 
-    fields: Sequence[Union[GhostPrimary, PrimaryField]]
+    fields: Sequence[GhostPrimary]
     points: Optional[Sequence[Optional[Scalar]]] = None
-    constant_symbol: str = "C"
 
     def ghosts(self) -> List[GhostPrimary]:
         out = []
@@ -196,14 +183,43 @@ def block_l1(j3: Scalar, eta: Scalar, constant: Scalar = 1) -> Scalar:
     return constant * cpow(eta, j3)
 
 
-def blocks_l1(j2, j4, eta, degenerate: str = "strict") -> Tuple[Scalar, Scalar]:
-    """The two flow-1 blocks at probe charge 1/2: eta^(1/2) and
-    eta^(1/2) B(-j4+1/2, -j2+1/2; eta)."""
-    b1 = cpow(eta, 0.5)
-    b2 = b1 * specfun.beta_incomplete(
-        -to_complex(j4) + 0.5, -to_complex(j2) + 0.5, eta
-    )
-    return b1, b2
+def fourpoint_blocksums(ell: int, j1, j2, j4) -> Tuple[BlockSum, BlockSum]:
+    """The two 4-point blocks of flow ell with the probe charge 1/2 at the
+    third insertion, as BlockSums in eta:
+
+        ell = 1:  eta^(1/2)  and  eta^(1/2) B(-j4+1/2, -j2+1/2; eta);
+        ell = 2:  eta 2F1(-j1+1, 1/2; j4+1/2; eta)  and
+                  eta^(-j4+3/2) 2F1(j2, -j4+1; -j4+3/2; eta);
+        ell = 3:  eta^(-j4+2) (1-eta)^(-j2+1/2)  and the same times
+                  B(j4-1/2, j2-1/2; eta).
+
+    The flow-2 pair is exact for exact charges; flow 1 does not depend on
+    j1.  Raises ValueError for any other ell."""
+    if ell == 1:
+        return (
+            BlockSum.power(1, 0.5, 0),
+            BlockSum.incomplete_beta(
+                1, 0.5, 0, -to_complex(j4) + 0.5, -to_complex(j2) + 0.5),
+        )
+    if ell == 2:
+        one = Fraction(1) if all_exact(j1, j2, j4) else 1.0
+        (a1, b1, c1), (a2, b2, c2) = blocks_l2_params(j1, j2, j4)
+        # the second block's eta exponent -j4 + 3/2 is its lower parameter c2
+        return (BlockSum.hyp2f1(one, one, 0, a1, b1, c1),
+                BlockSum.hyp2f1(one, c2, 0, a2, b2, c2))
+    if ell == 3:
+        j2c, j4c = to_complex(j2), to_complex(j4)
+        p, q = -j4c + 2, -j2c + 0.5
+        return (
+            BlockSum.power(1, p, q),
+            BlockSum.incomplete_beta(1, p, q, j4c - 0.5, j2c - 0.5),
+        )
+    raise ValueError("4-point blocks exist for ell in {1, 2, 3}")
+
+
+def blocks_l1(j2, j4, eta) -> Tuple[Scalar, Scalar]:
+    """The two flow-1 blocks at probe charge 1/2 (fourpoint_blocksums)."""
+    return tuple(b.value(eta) for b in fourpoint_blocksums(1, None, j2, j4))
 
 
 def blocks_l2_params(j1, j2, j4):
@@ -215,11 +231,8 @@ def blocks_l2_params(j1, j2, j4):
     )
 
 
-def blocks_l2(j1, j2, j4, eta, degenerate: str = "strict") -> Tuple[Scalar, Scalar]:
-    """The two flow-2 blocks at probe charge 1/2:
-
-        eta * 2F1(-j1+1, 1/2; j4+1/2; eta)   and
-        eta^(-j4+3/2) * 2F1(j2, -j4+1; -j4+3/2; eta).
+def blocks_l2(j1, j2, j4, eta) -> Tuple[Scalar, Scalar]:
+    """The two flow-2 blocks at probe charge 1/2 (fourpoint_blocksums).
 
     Raises DegenerateError for j4 in Z+1/2 (the log regime)."""
     if is_half_odd_integer(j4):
@@ -227,28 +240,16 @@ def blocks_l2(j1, j2, j4, eta, degenerate: str = "strict") -> Tuple[Scalar, Scal
             f"j4 = {j4} is half-odd-integer: the blocks degenerate into the "
             "log regime (use log_blocks_l2)"
         )
-    (a1, b1, c1), (a2, b2, c2) = blocks_l2_params(j1, j2, j4)
-    blk1 = cpow(eta, 1) * specfun.hyp2f1(a1, b1, c1, eta, degenerate=degenerate)
-    blk2 = cpow(eta, -to_complex(j4) + 1.5) * specfun.hyp2f1(
-        a2, b2, c2, eta, degenerate=degenerate
-    )
-    return blk1, blk2
+    return tuple(b.value(eta) for b in fourpoint_blocksums(2, j1, j2, j4))
 
 
 def blocks_l2_blocksums(j1, j2, j4) -> Tuple[BlockSum, BlockSum]:
-    one = Fraction(1) if all_exact(j1, j2, j4) else 1.0
-    half_f = HALF if all_exact(j1, j2, j4) else 0.5
-    (a1, b1, c1), (a2, b2, c2) = blocks_l2_params(j1, j2, j4)
-    blk1 = BlockSum.hyp2f1(one, one, 0, a1, b1, c1)
-    blk2 = BlockSum.hyp2f1(one, -j4 + one + half_f, 0, a2, b2, c2)
-    return blk1, blk2
+    return fourpoint_blocksums(2, j1, j2, j4)
 
 
 def block_l3(j1, j2, j4, eta, constant: Scalar = 1) -> Scalar:
     """Monodromy-selected flow-3 block: C eta^(-j4+2) (1-eta)^(-j2+1/2)."""
-    return constant * cpow(eta, -to_complex(j4) + 2) * cpow(
-        1 - to_complex(eta), -to_complex(j2) + 0.5
-    )
+    return fourpoint_blocksums(3, j1, j2, j4)[0].scale(constant).value(eta)
 
 
 def block_l3_powersum(j1, j2, j4, constant: Scalar = 1) -> PowerSum:
@@ -258,25 +259,15 @@ def block_l3_powersum(j1, j2, j4, constant: Scalar = 1) -> PowerSum:
 
 
 def block_l3_general(j1, j2, j4, eta, alpha1: Scalar, alpha2: Scalar) -> Scalar:
-    """Pre-monodromy flow-3 family:
-    eta^(-j4+2)(1-eta)^(-j2+1/2) (alpha1 + alpha2 B(j4-1/2, j2-1/2; eta))."""
-    pref = cpow(eta, -to_complex(j4) + 2) * cpow(
-        1 - to_complex(eta), -to_complex(j2) + 0.5
-    )
-    tail = alpha1
-    if alpha2 != 0:
-        tail = tail + alpha2 * specfun.beta_incomplete(
-            to_complex(j4) - 0.5, to_complex(j2) - 0.5, eta
-        )
-    return pref * tail
+    """Pre-monodromy flow-3 family: alpha1 times the power block plus alpha2
+    times the incomplete-beta block."""
+    power, beta = fourpoint_blocksums(3, j1, j2, j4)
+    return (power.scale(alpha1) + beta.scale(alpha2)).value(eta)
 
 
 def blocks_l3(j1, j2, j4, eta) -> Tuple[Scalar, Scalar]:
     """The two flow-3 blocks (power and incomplete-beta)."""
-    return (
-        block_l3_general(j1, j2, j4, eta, 1, 0),
-        block_l3_general(j1, j2, j4, eta, 0, 1),
-    )
+    return tuple(b.value(eta) for b in fourpoint_blocksums(3, j1, j2, j4))
 
 
 # ----------------------------------------------------------------------
@@ -346,11 +337,7 @@ def bulk_l2(j1, j2, j4, eta, alpha11: float, winding0: int = 0,
     import cmath
 
     alpha22 = monodromy_ratio_l2(j1, j2, j4) * alpha11
-    etac = to_complex(eta)
-    f1 = specfun.hyp2f1(*blocks_l2_params(j1, j2, j4)[0], etac)
-    f2 = specfun.hyp2f1(*blocks_l2_params(j1, j2, j4)[1], etac)
-    b1 = etac * f1
-    b2 = cpow(etac, -to_complex(j4) + 1.5) * f2
+    b1, b2 = (b.value(to_complex(eta)) for b in fourpoint_blocksums(2, j1, j2, j4))
     # chiral monodromy phases around 0: b1 ~ eta^1, b2 ~ eta^{-j4+3/2};
     # the antiholomorphic side winds oppositely, i.e. conjugate phases
     ph1 = cmath.exp(2j * cmath.pi * winding0 * 1)
@@ -444,29 +431,21 @@ def double_factorial_odd(k: int):
 
 def poly_Pk(k: int, j1, j4, eta) -> Scalar:
     """(-1)^k 2^k/(2k-1)!! sum_i C(k,i) (-j1+3/2)_i (j4-k)_{k-i} eta^i."""
-    if k < 0:
-        raise ValueError("k must be a non-negative integer")
-    exact = all_exact(j1, j4, eta)
-    three_half = Fraction(3, 2) if exact else 1.5
-    total: Scalar = 0
-    binom = 1
-    for i in range(k + 1):
-        term = (
-            binom
-            * specfun.pochhammer(-j1 + three_half, i)
-            * specfun.pochhammer(j4 - k, k - i)
-            * cpow(eta, i)
-        )
-        total = total + term
-        binom = binom * (k - i) // (i + 1)
-    pref = (-1) ** k * 2**k
-    if exact:
-        return Fraction(pref, double_factorial_odd(k)) * total
-    return pref / double_factorial_odd(k) * total
+    pref, poly = _poly_Pk_parts(k, j1, j4)
+    return pref * poly.eval(eta)
 
 
 def poly_Pk_polysum(k: int, j1, j4) -> PowerSum:
     """Exact PowerSum form of the charge-shift polynomial."""
+    pref, poly = _poly_Pk_parts(k, j1, j4)
+    return poly.scale(pref)
+
+
+def _poly_Pk_parts(k: int, j1, j4) -> Tuple[Scalar, PowerSum]:
+    """The prefactor (-1)^k 2^k/(2k-1)!! and the sum it multiplies; a float
+    sum cancels, so poly_Pk applies the prefactor once, after summing."""
+    if k < 0:
+        raise ValueError("k must be a non-negative integer")
     exact = all_exact(j1, j4)
     three_half = Fraction(3, 2) if exact else 1.5
     pref = Fraction((-1) ** k * 2**k, double_factorial_odd(k)) if exact else (
@@ -476,14 +455,13 @@ def poly_Pk_polysum(k: int, j1, j4) -> PowerSum:
     binom = 1
     for i in range(k + 1):
         coeff = (
-            pref
-            * binom
+            binom
             * specfun.pochhammer(-j1 + three_half, i)
             * specfun.pochhammer(j4 - k, k - i)
         )
         terms[(i if not exact else Fraction(i), Fraction(0) if exact else 0)] = coeff
         binom = binom * (k - i) // (i + 1)
-    return PowerSum(terms)
+    return pref, PowerSum(terms)
 
 
 def poly_Pk_hypergeometric(k: int, j1, j4, eta) -> Scalar:
@@ -648,7 +626,7 @@ class WardForm:
     coincidence divisor."""
 
     def __init__(self, charges, weights, h_block: Optional[BlockSum] = None,
-                 exponents=None, degenerate: str = "strict"):
+                 exponents=None):
         self.charges = list(charges)
         self.weights = list(weights)
         self.n = len(self.charges)
@@ -658,11 +636,10 @@ class WardForm:
         self.h = as_blocksum(h_block) if h_block is not None else BlockSum.constant(1)
         self._h1 = self.h.deriv()
         self._h2 = self._h1.deriv()
-        self.degenerate = degenerate
         if self.n < 4:
             # no cross ratio: H must be a constant, frozen here
-            self._const = self.h.value(0.3137, degenerate)
-            if abs(self.h.value(0.7211, degenerate) - self._const) > 1e-12 * (
+            self._const = self.h.value(0.3137)
+            if abs(self.h.value(0.7211) - self._const) > 1e-12 * (
                 1 + abs(self._const)
             ):
                 raise UnsupportedShape("N < 4 Ward forms take a constant H only")
@@ -726,7 +703,7 @@ class WardForm:
         if self.n < 4:
             return self._const * pre
         eta = self._eta(ws)
-        return self.h.value(eta, self.degenerate) * pre
+        return self.h.value(eta) * pre
 
     def d(self, i: int, ws) -> complex:
         ws = [to_complex(w) for w in ws]
@@ -736,8 +713,8 @@ class WardForm:
             return self._const * dlog * pre
         eta = self._eta(ws)
         lam = self._eta_lambda(i, ws)
-        hval = self.h.value(eta, self.degenerate)
-        hder = self._h1.value(eta, self.degenerate)
+        hval = self.h.value(eta)
+        hder = self._h1.value(eta)
         return (hder * eta * lam + hval * dlog) * pre
 
     def d2(self, i: int, ws) -> complex:
@@ -752,9 +729,9 @@ class WardForm:
         lam_p = self._eta_lambda_prime(i, ws)
         eta_i = eta * lam
         eta_ii = eta * (lam * lam + lam_p)
-        h0 = self.h.value(eta, self.degenerate)
-        h1 = self._h1.value(eta, self.degenerate)
-        h2 = self._h2.value(eta, self.degenerate)
+        h0 = self.h.value(eta)
+        h1 = self._h1.value(eta)
+        h2 = self._h2.value(eta)
         return (
             h2 * eta_i * eta_i
             + h1 * (eta_ii + 2 * eta_i * dlog)
@@ -767,13 +744,17 @@ class WardForm:
 # ----------------------------------------------------------------------
 
 
-def standard_frame_data(j1, j2, j3, j4, ell: int):
-    """(charges, weights) of the standard correlator with flows (0,0,0,ell)."""
-    last = GhostPrimary(j4, ell)
-    zero = Fraction(0) if all_exact(j1, j2, j3, j4) else 0.0
-    charges = [j1, j2, j3, last.j0_charge]
-    weights = [zero, zero, zero, last.weight]
-    return charges, weights
+def standard_frame_data(*charges_and_ell):
+    """(charges, weights) of the standard N-point correlator with flows
+    (0, ..., 0, ell), called as standard_frame_data(j1, ..., jN, ell) for
+    N in {2, 3, 4}: the zero-mode charges (j1, ..., jN - ell) and the
+    weights (0, ..., 0, jN ell - ell(ell+1)/2)."""
+    *js, ell = charges_and_ell
+    if not 2 <= len(js) <= 4:
+        raise UnsupportedShape(f"the standard frame covers N in {{2, 3, 4}}, got N = {len(js)}")
+    last = GhostPrimary(js[-1], ell)
+    zero = Fraction(0) if all_exact(*js) else 0.0
+    return [*js[:-1], last.j0_charge], [zero] * (len(js) - 1) + [last.weight]
 
 
 def specialized_prefactor_exponents(j1, j2, j3, j4, ell: int):
@@ -796,18 +777,16 @@ def h_from_specialized(block, j1, j2, j3, j4, ell: int):
     return block.mul_power(-p, -q)
 
 
-def unspecialize(h_block, j1, j2, j3, j4, ell: int,
-                 degenerate: str = "strict") -> WardForm:
+def unspecialize(h_block, j1, j2, j3, j4, ell: int) -> WardForm:
     """Ward H-function -> the full 4-point function of (w1..w4)."""
     charges, weights = standard_frame_data(j1, j2, j3, j4, ell)
-    return WardForm(charges, weights, as_blocksum(h_block), degenerate=degenerate)
+    return WardForm(charges, weights, as_blocksum(h_block))
 
 
-def unspecialize_block(block, j1, j2, j3, j4, ell: int,
-                       degenerate: str = "strict") -> WardForm:
+def unspecialize_block(block, j1, j2, j3, j4, ell: int) -> WardForm:
     """Specialized block G(eta) -> the full 4-point function."""
     h = h_from_specialized(as_blocksum(block), j1, j2, j3, j4, ell)
-    return unspecialize(h, j1, j2, j3, j4, ell, degenerate)
+    return unspecialize(h, j1, j2, j3, j4, ell)
 
 
 def specialize_wardform_numeric(form: WardForm, eta, w1: float = 1.0e7) -> complex:
@@ -820,4 +799,4 @@ def specialize_wardform_exact(form: WardForm, eta) -> complex:
     """The same limit read off exactly from the exponent bookkeeping."""
     e = form.exponents
     pre = cpow(eta, e[(3, 4)]) * cpow(1 - to_complex(eta), e[(2, 3)])
-    return form.h.value(eta, form.degenerate) * pre
+    return form.h.value(eta) * pre

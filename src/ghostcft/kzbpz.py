@@ -27,9 +27,7 @@ from typing import Callable, List, Optional, Sequence, Tuple, Union
 from .blocks import BlockSum, PowerSum, as_blocksum
 from .correlators import (
     WardForm,
-    specialized_prefactor_exponents,
     standard_frame_data,
-    three_point_exponents,
     unspecialize_block,
     ward_exponents,
 )
@@ -201,9 +199,7 @@ class TwoPointFamily:
         self.constant = constant
 
     def base(self, charges) -> WardForm:
-        j1, j2 = charges
-        q = [j1, j2 - 1]
-        h = [0, j2 - 1]
+        q, h = standard_frame_data(*charges, self.ell)
         return WardForm(q, h, BlockSum.constant(self.constant))
 
     def companion(self, i: int, charges) -> WardForm:
@@ -222,10 +218,7 @@ class ThreePointFamily:
         self.constant = constant
 
     def _form(self, j1, j2, j3, constant) -> WardForm:
-        ell = self.ell
-        q = [j1, j2, j3 - ell]
-        one = Fraction(1) if all_exact(j1, j2, j3) else 1.0
-        h = [0 * one, 0 * one, j3 * ell - Fraction(ell * (ell + 1), 2) * one]
+        q, h = standard_frame_data(j1, j2, j3, self.ell)
         return WardForm(q, h, BlockSum.constant(constant))
 
     def base(self, charges) -> WardForm:
@@ -346,14 +339,10 @@ def kz_residual_m1_l1(family, charges, points=None, tolerance: float = 1e-10
 
 
 def _eval(block, eta) -> complex:
-    return as_blocksum(block).value(eta) if not isinstance(block, PowerSum) else complex(
-        block.eval(eta)
-    )
+    return as_blocksum(block).value(eta)
 
 
 def _deriv_eval(block, eta) -> complex:
-    if isinstance(block, PowerSum):
-        return complex(block.deriv().eval(eta))
     return as_blocksum(block).deriv().value(eta)
 
 
@@ -496,8 +485,8 @@ class ThreePtVerdict:
 def threept_constraint_check(j1, j2, j3, ell: int) -> ThreePtVerdict:
     """Expand the polynomial identity behind the 3-point charge-shift
     constraint.  For flows 1 and 2 the displayed constant recursions solve
-    it exactly; for ell >= 3 an unmatched cross monomial w13^a w23^b forces
-    every constant to vanish."""
+    it exactly; for ell >= 3 an unmatched cross monomial w13^a w23^b, when
+    one is left, forces every constant to vanish."""
     j1f, j2f, j3f = map(as_fraction, (j1, j2, j3))
     if j1f + j2f + j3f != ell:
         raise ChargeError("charges must satisfy j1 + j2 + j3 = ell")
@@ -517,14 +506,14 @@ def threept_constraint_check(j1, j2, j3, ell: int) -> ThreePtVerdict:
     cross = {
         key: val for key, val in coeffs.items() if key[0] >= 1 and key[1] >= 1 and val != 0
     }
-    if ell <= 2:
-        if cross:
-            return ThreePtVerdict("must-vanish", sorted(cross)[0])
-        # pure monomials fix the companion constants:
-        #   -j2 C(j1, j2+1, j3-1) = coeffs[(ell, 0)] C
-        #   -j1 C(j1+1, j2, j3-1) = coeffs[(0, ell)] C
-        return ThreePtVerdict("relations-hold")
-    return ThreePtVerdict("must-vanish", sorted(cross)[0])
+    if cross:
+        return ThreePtVerdict("must-vanish", sorted(cross)[0])
+    # pure monomials fix the companion constants:
+    #   -j2 C(j1, j2+1, j3-1) = coeffs[(ell, 0)] C
+    #   -j1 C(j1+1, j2, j3-1) = coeffs[(0, ell)] C
+    # (for ell >= 3 no cross monomial means fam_a = fam_b = 0, so every
+    # coefficient vanishes and the companion constants are zero)
+    return ThreePtVerdict("relations-hold")
 
 
 def threept_shifted_constants(j1, j2, j3, ell: int, constant: Scalar = 1):

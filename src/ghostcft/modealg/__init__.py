@@ -4,7 +4,6 @@ from .expr import (
     BETA,
     CURRENT,
     GAMMA,
-    GAMMA_INV,
     SINGLET,
     VIRASORO,
     Mode,
@@ -40,7 +39,6 @@ from .checks import (
     in_extended_kac_table,
     kac_locus_check,
     kac_locus_weight,
-    level_weights,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -3,9 +3,10 @@ at charge 1/2, commutator suites on states, flow conditions, and the
 discrete locus of charges admitting such vectors."""
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable, List, Optional, Tuple
+from typing import Callable, Iterable
 
 from . import jl
 from .expr import BETA, GAMMA, Mode, ModeExpr, mode
@@ -80,13 +81,11 @@ def kac_locus_weight(j: Fraction) -> Fraction:
     return Fraction(j) * (Fraction(j) - 1) / 2
 
 
-def in_extended_kac_table(h: Fraction, s_max: int = 200) -> bool:
-    """h in { s(s-2)/8 : s in N }."""
-    h = Fraction(h)
-    for s in range(1, s_max + 1):
-        if Fraction(s * (s - 2), 8) == h:
-            return True
-    return False
+def in_extended_kac_table(h: Fraction) -> bool:
+    """h in { s(s-2)/8 : s in N }, i.e. 1 + 8h is the square of an integer
+    (s = 1 + sqrt(1 + 8h))."""
+    d = 1 + 8 * Fraction(h)
+    return d.denominator == 1 and d >= 0 and math.isqrt(d.numerator) ** 2 == d.numerator
 
 
 def kac_locus_check(j) -> bool:
@@ -203,21 +202,3 @@ def check_flow_vacuum_conditions() -> bool:
     if act(ModeExpr.gamma(-1), intrinsic).is_zero():
         return False
     return True
-
-
-def level_weights(state: GhostState) -> Optional[Fraction]:
-    """L_0 eigenvalue when the state is an eigenvector, else None."""
-    image = act_virasoro(state, 0)
-    if state.is_zero():
-        return None
-    ratio = None
-    for key, coeff in state.terms.items():
-        got = image.terms.get(key, Fraction(0))
-        r = got / coeff
-        if ratio is None:
-            ratio = r
-        elif ratio != r:
-            return None
-    if image.terms.keys() - state.terms.keys():
-        return None
-    return ratio

@@ -21,7 +21,6 @@ from ..lincomb import LinComb, accumulate
 
 BETA = "b"
 GAMMA = "g"
-GAMMA_INV = "ginv"  # only inside the localized algebra
 CURRENT = "J"
 VIRASORO = "L"
 SINGLET = "Ls"

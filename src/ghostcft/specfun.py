@@ -83,7 +83,20 @@ def gamma(z: Scalar) -> complex:
     for k, ck in enumerate(_LANCZOS_COEFFS, start=1):
         acc += ck / (x + k)
     t = x + _LANCZOS_G + 0.5
-    return _SQRT_TWO_PI * t ** (x + 0.5) * cmath.exp(-t) * acc
+    try:
+        return _SQRT_TWO_PI * t ** (x + 0.5) * cmath.exp(-t) * acc
+    except OverflowError:
+        pass
+    # Gamma fits a double up to Re z = 171.6, but t^(x+1/2) alone overflows
+    # from Re z = 143: take it as two half powers with exp(-t) in between
+    try:
+        half = t ** ((x + 0.5) / 2)
+        out = _SQRT_TWO_PI * half * cmath.exp(-t) * half * acc
+    except OverflowError:
+        out = complex(math.inf)
+    if not cmath.isfinite(out):
+        raise ParamError(f"gamma({z}) overflows double precision")
+    return out
 
 
 def pochhammer(a: Scalar, n: int) -> Scalar:

@@ -3,6 +3,9 @@ import csv
 import io
 import json
 import os
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -142,6 +145,20 @@ def test_modealg_verify(capsys):
     assert payload["results"]["null_vector"]["vanishes_on_charge_half"] is True
 
 
+def test_readme_commands(capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    commands = [
+        shlex.split(line, comments=True)[1:]
+        for block in re.findall(r"```sh\n(.*?)```", readme, re.S)
+        for line in block.splitlines()
+        if line.startswith("ghostcft ")
+    ]
+    assert commands
+    for argv in commands:
+        assert main(argv) == 0, argv
+    capsys.readouterr()
+
+
 def test_usage_error_exit_code(capsys):
     with pytest.raises(SystemExit) as err:
         main(["residual", "--op", "nonsense", "--charges", "1"])
@@ -161,6 +178,9 @@ def test_configuration_error_exit_code(capsys):
     ["eval", "--op", "blocks-l2", "--ell", "2", "--charges", "0.3,0.4,1/2,0.8"],
     ["eval", "--op", "two-point", "--charges", "nan,1/2"],
     ["eval", "--op", "two-point", "--charges", "inf,0.4"],
+    ["eval", "--op", "monodromy-ratio", "--ell", "2", "--charges=180.3,0.4,0.5,-179.2"],
+    ["residual", "--op", "bpz", "--ell", "4", "--charges=0.3,0.4,1/2,2.8"],
+    ["recurse", "--ell", "4", "--charges=0.3,0.4,0.5,-0.2", "--k", "1"],
 ])
 def test_bad_input_exit_code(capsys, argv):
     assert main(argv) == 2

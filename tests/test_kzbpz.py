@@ -226,10 +226,11 @@ def test_bpz_four_point_blocks_all_flows(rng):
 
 
 def test_threept_constraint_relations_hold():
-    for ell in (1, 2):
-        j1, j2 = Fraction(3, 10), Fraction(2, 5)
-        j3 = ell - j1 - j2
-        v = kz.threept_constraint_check(j1, j2, j3, ell)
+    j1, j2 = Fraction(3, 10), Fraction(2, 5)
+    # flow 3 at charges (1, 1, 1) leaves no cross monomial at all
+    for charges, ell in [((j1, j2, 1 - j1 - j2), 1), ((j1, j2, 2 - j1 - j2), 2),
+                         ((1, 1, 1), 3)]:
+        v = kz.threept_constraint_check(*charges, ell)
         assert v.kind == "relations-hold"
 
 

@@ -327,8 +327,9 @@ def test_localized_twist_requires_context():
 
 
 def test_kac_locus_quarter_integer_scan():
-    for q in range(-12, 13):
-        j = Fraction(q, 4)
+    charges = [Fraction(q, 4) for q in range(-12, 13)]
+    charges += [Fraction(201, 2), Fraction(-150), Fraction(250), Fraction(803, 4)]
+    for j in charges:
         assert kac_locus_check(j) == ((2 * j).denominator == 1)
 
 

@@ -83,6 +83,15 @@ def test_gamma_poles():
             sf.gamma(z)
 
 
+def test_gamma_large_argument_against_math_gamma():
+    # t^(z-1/2) overflows from Re z = 143, Gamma itself only past 171.6
+    for z in (142.5, 143.0, 150.5, 171.5):
+        assert rel_err(sf.gamma(z), math.gamma(z)) < 1e-13
+    for z in (171.7, 180.3, 1e6):
+        with pytest.raises(ParamError, match="overflow"):
+            sf.gamma(z)
+
+
 def test_gamma_recurrence_oracle(rng):
     for _ in range(50):
         z = complex(rng.uniform(-40, 40), rng.uniform(-30, 30))
