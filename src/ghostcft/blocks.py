@@ -7,17 +7,22 @@ whose like terms merge as a sum is built:
   rational (or numeric) coefficients and exponents, keyed by (p, q).  Closed
   under d/deta and under multiplication by eta^a (1-eta)^b, which is what
   the charge-shift recursion needs to run in exact rational arithmetic.
+  ``canonical()`` picks the unique representative of an exact sum; the
+  exact recursion applies it after every step, so it carries only the terms
+  of the closed form at any depth.
 
 * BlockSum -- a sum of c * eta^p (1-eta)^q * payload(eta), keyed by
   (p, q, kind, params), where each payload is one of {1, 2F1(a,b;c;eta),
   3F2(...; -eta/(1-eta)), B(a,b;eta)}.  The same closure properties hold
   (payload derivatives shift parameters), so the recursion and the
   second-order BPZ operator evaluate analytically, with no finite
-  differencing; a k-step numeric recursion carries (k+1)^2 terms.
+  differencing; a k-step numeric recursion carries (k+1)^2 merged terms
+  (a numeric sum has no canonical form).
 """
 from __future__ import annotations
 
 from fractions import Fraction
+from math import comb
 from typing import Optional, Tuple
 
 from . import specfun
@@ -99,29 +104,32 @@ class PowerSum(LinComb):
         does not vanish at eta = 1."""
         if not self.is_exact():
             raise ValueError("canonical form is defined for exact sums")
+        # split each exponent once: the class is keyed by the fractional
+        # parts, and the loops below work on int offsets alone
         groups: dict = {}
         for (p, q), c in self.terms.items():
             pf, qf = as_fraction(p), as_fraction(q)
-            key = (pf % 1, qf % 1)
-            groups.setdefault(key, []).append((pf, qf, as_fraction(c)))
+            p_int = pf.numerator // pf.denominator
+            q_int = qf.numerator // qf.denominator
+            groups.setdefault((pf - p_int, qf - q_int), []).append(
+                (p_int, q_int, as_fraction(c)))
         out: dict = {}
-        for (_pk, _qk), entries in groups.items():
+        for (p_frac, q_frac), entries in groups.items():
             q_min = min(q for _p, q, _c in entries)
             flat: dict = {}
+            get = flat.get
             for p, q, c in entries:
-                m = int(q - q_min)
-                binom = Fraction(1)
+                m = q - q_min
                 for i in range(m + 1):
-                    flat[p + i] = flat.get(p + i, Fraction(0)) + c * binom * (-1) ** i
-                    binom = binom * (m - i) / (i + 1)
+                    flat[p + i] = get(p + i, 0) + c * comb(m, i)
+                    c = -c
             flat = {p: c for p, c in flat.items() if c != 0}
             if not flat:
                 continue
             # extract the eta-polynomial relative to the minimal power and
             # divide out every (1-eta) factor
             p0 = min(flat)
-            deg = int(max(flat) - p0)
-            coeffs = [flat.get(p0 + k, Fraction(0)) for k in range(deg + 1)]
+            coeffs = [flat.get(p, 0) for p in range(p0, max(flat) + 1)]
             while len(coeffs) > 1 and sum(coeffs) == 0:
                 acc = Fraction(0)
                 quotient = []
@@ -132,8 +140,7 @@ class PowerSum(LinComb):
                 q_min += 1
             for k, c in enumerate(coeffs):
                 if c != 0:
-                    key = (p0 + k, q_min)
-                    out[key] = out.get(key, Fraction(0)) + c
+                    out[(p_frac + p0 + k, q_frac + q_min)] = c
         return PowerSum(out)
 
     def equals(self, other: "PowerSum") -> bool:

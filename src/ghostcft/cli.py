@@ -272,7 +272,8 @@ def cmd_recurse(args) -> int:
         "exact": isinstance(result, PowerSum) and result.is_exact(),
     }
     if isinstance(result, PowerSum):
-        payload["block"] = result.canonical().to_text() if result.is_exact() else result.to_text()
+        # an exact recursion is canonical already (its one-term start is)
+        payload["block"] = result.to_text()
     if args.eta_grid:
         values = []
         for eta in args.eta_grid:
@@ -344,13 +345,15 @@ def cmd_scan(args) -> int:
     writer.writerow(
         ["eta_re", "eta_im", "block1_re", "block1_im", "block2_re", "block2_im"]
     )
+    # build the flow-2 pair once, not at each eta
+    pair = None if log_regime else co.fourpoint_blocksums(2, j1, j2, j4)
     for eta in args.eta_grid:
         if eta == 0:
             continue
         if log_regime:
             b1, b2 = co.log_blocks_l2(j1, j2, j4, eta)
         else:
-            b1, b2 = co.blocks_l2(j1, j2, j4, eta)
+            b1, b2 = (b.value(eta) for b in pair)
         b1, b2 = to_complex(b1), to_complex(b2)
         writer.writerow(
             [f"{eta:.12g}", "0", f"{b1.real:.15g}", f"{b1.imag:.15g}",

@@ -9,12 +9,12 @@ w-space identity collapses to
         + (h4l + j1 + (l-1) j2 + (l-1) j3 / eta) G ]
         - (j2/j3) eta^(l+1) G_comp(eta),
 
-with h4l = j4 l - l(l+1)/2.  The j1-shift companion of the w-space identity
-scales out at the infinite insertion; the j2-shift companion enters through
-the last term and, by the algebraic-KZ identification of the specialized
-shifted correlators, defaults to the input block itself (for flow 1 that
-identification is the displayed equality of shifted correlators; it is what
-reproduces every higher-flow closed form).
+with h4l = j4 l - l(l+1)/2 the flowed weight of phi_{j4}^l.  The j1-shift
+companion of the w-space identity scales out at the infinite insertion; the
+j2-shift companion enters through the last term and, by the algebraic-KZ
+identification of the specialized shifted correlators, defaults to the input
+block itself (for flow 1 that identification is the displayed equality of
+shifted correlators; it is what reproduces every higher-flow closed form).
 """
 from __future__ import annotations
 
@@ -26,6 +26,7 @@ from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 from .blocks import BlockSum, PowerSum, as_blocksum
 from .correlators import (
+    GhostPrimary,
     WardForm,
     standard_frame_data,
     unspecialize_block,
@@ -490,8 +491,9 @@ def threept_constraint_check(j1, j2, j3, ell: int) -> ThreePtVerdict:
     j1f, j2f, j3f = map(as_fraction, (j1, j2, j3))
     if j1f + j2f + j3f != ell:
         raise ChargeError("charges must satisfy j1 + j2 + j3 = ell")
-    fam_a = j1f + j2f * (ell - 1) + (j3f - Fraction(ell + 1, 2)) * ell
-    fam_b = j1f * (ell - 1) + j2f + (j3f - Fraction(ell + 1, 2)) * ell
+    h3 = GhostPrimary(j3f, ell).weight
+    fam_a = j1f + j2f * (ell - 1) + h3
+    fam_b = j1f * (ell - 1) + j2f + h3
     # LHS = C (w13 - w23)^{ell-1} (fam_a w13 + fam_b w23): coefficients of
     # w13^{ell-a} w23^{a}
     coeffs = {}
@@ -540,8 +542,12 @@ def recursion_step(block: Block, charges, ell: int, companion=AUTO) -> Block:
     (j1, j2, j3, j4) -> (j1, j2, j3+1, j4-1).
 
     companion: the specialized correlator at (j1, j2+1, j3, j4-1).  The
-    default AUTO uses the algebraic-KZ identification companion == block;
-    passing None insists on an explicit block and raises MissingCompanion.
+    default AUTO uses the algebraic-KZ identification companion == block,
+    whose term folds into the coefficient of G; passing None insists on an
+    explicit block and raises MissingCompanion.
+
+    An exact step on an exact PowerSum returns its canonical form, so an
+    exact recursion carries only the terms of its closed form at any depth.
     """
     j1, j2, j3, j4 = charges
     exact = all_exact(j1, j2, j3, j4) and block.is_exact()
@@ -555,13 +561,17 @@ def recursion_step(block: Block, charges, ell: int, companion=AUTO) -> Block:
     comp = block if companion is AUTO else companion
     if exact:
         j1, j2, j3, j4 = map(as_fraction, (j1, j2, j3, j4))
-        h4l = j4 * ell - Fraction(ell * (ell + 1), 2)
         inv_j3 = Fraction(1) / j3
     else:
         j1, j2, j3, j4 = map(to_complex, (j1, j2, j3, j4))
-        h4l = j4 * ell - ell * (ell + 1) / 2.0
         inv_j3 = 1.0 / j3
-    a_coeff = h4l + j1 + (ell - 1) * j2
+    a_coeff = GhostPrimary(j4, ell).weight + j1 + (ell - 1) * j2
+    # folding changes the order and the rounding of the terms, so only the
+    # exact PowerSum step, whose result is canonicalized, folds
+    canon = exact and isinstance(block, PowerSum)
+    fold = canon and comp is block
+    if fold:
+        a_coeff = a_coeff + j2
     b_coeff = (ell - 1) * j3
 
     d = block.deriv()
@@ -570,12 +580,18 @@ def recursion_step(block: Block, charges, ell: int, companion=AUTO) -> Block:
     if b_coeff != 0:
         t = t + block.scale(b_coeff).mul_power(-1)
     t = t.mul_power(ell + 1).scale(-inv_j3)
-    t = t - comp.scale(j2 * inv_j3).mul_power(ell + 1)
+    if not fold:
+        t = t - comp.scale(j2 * inv_j3).mul_power(ell + 1)
+    if canon and t.is_exact():
+        return t.canonical()
     return t
 
 
 def recursion_iterate(block: Block, charges, ell: int, k: int) -> Block:
-    """k-fold composition, charges marching (j3 + t, j4 - t)."""
+    """k-fold composition, charges marching (j3 + t, j4 - t).
+
+    An exact PowerSum stays canonical at every step; a numeric BlockSum ends
+    with (k+1)^2 merged terms."""
     if k < 0:
         raise ValueError("k must be non-negative")
     j1, j2, j3, j4 = charges

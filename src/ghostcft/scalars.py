@@ -19,6 +19,10 @@ _EXACT_TYPES = (int, Fraction)
 
 
 def is_exact(x: Scalar) -> bool:
+    # a float or complex takes the type test: isinstance against the Fraction
+    # ABC is an order of magnitude slower on them
+    if type(x) is float or type(x) is complex:
+        return False
     return isinstance(x, _EXACT_TYPES)
 
 
@@ -35,6 +39,8 @@ def as_fraction(x: Scalar) -> Fraction:
 
 
 def to_complex(x: Scalar) -> complex:
+    if type(x) is float or type(x) is complex:
+        return complex(x)
     if isinstance(x, Fraction):
         return complex(x.numerator / x.denominator)
     return complex(x)

@@ -82,6 +82,89 @@ def test_powersum_canonical_kills_redundancy():
     assert abs(complex(a.eval(0.4)) - complex(c.eval(0.4))) < 1e-15
 
 
+def _canonical_reference(ps):
+    """The straightforward normal form, kept as the oracle for canonical():
+    Fraction exponents throughout, binomials built by recurrence."""
+    groups: dict = {}
+    for (p, q), c in ps.terms.items():
+        pf, qf = Fraction(p), Fraction(q)
+        groups.setdefault((pf % 1, qf % 1), []).append((pf, qf, Fraction(c)))
+    out: dict = {}
+    for entries in groups.values():
+        q_min = min(q for _p, q, _c in entries)
+        flat: dict = {}
+        for p, q, c in entries:
+            m = int(q - q_min)
+            binom = Fraction(1)
+            for i in range(m + 1):
+                flat[p + i] = flat.get(p + i, Fraction(0)) + c * binom * (-1) ** i
+                binom = binom * (m - i) / (i + 1)
+        flat = {p: c for p, c in flat.items() if c != 0}
+        if not flat:
+            continue
+        p0 = min(flat)
+        deg = int(max(flat) - p0)
+        coeffs = [flat.get(p0 + k, Fraction(0)) for k in range(deg + 1)]
+        while len(coeffs) > 1 and sum(coeffs) == 0:
+            acc = Fraction(0)
+            quotient = []
+            for c in coeffs[:-1]:
+                acc += c
+                quotient.append(acc)
+            coeffs = quotient
+            q_min += 1
+        for k, c in enumerate(coeffs):
+            if c != 0:
+                key = (p0 + k, q_min)
+                out[key] = out.get(key, Fraction(0)) + c
+    return PowerSum(out)
+
+
+def _random_exact_sum(rng):
+    """Exponents in Z/2 (four classes), ints or Fractions, with redundant
+    representations: (1-eta) factors written out as A - eta A, and a zero
+    written as c eta^(1/2) (1-eta) - c (eta^(1/2) - eta^(3/2))."""
+    terms = {}
+    for _ in range(rng.randint(1, 7)):
+        p = Fraction(rng.randint(-6, 6), 2)
+        q = Fraction(rng.randint(-4, 4), 2)
+        if p.denominator == 1 and rng.random() < 0.5:
+            p = int(p)
+        c = Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+        terms[(p, q)] = terms.get((p, q), 0) + c
+    ps = PowerSum(terms)
+    if rng.random() < 0.5:
+        ps = ps.mul_power(0, -rng.randint(1, 2))
+        for _ in range(rng.randint(1, 3)):
+            ps = ps - ps.mul_power(1)
+    if rng.random() < 0.3:
+        c = Fraction(rng.randint(1, 5))
+        ps = ps + PowerSum.single(c, half, 1) - PowerSum(
+            {(half, 0): c, (half + 1, 0): -c})
+    return ps
+
+
+def _exact_value(ps, r, s):
+    """ps at eta = r^2 with 1 - eta = s^2: exact for exponents in Z/2."""
+    total = Fraction(0)
+    for (p, q), c in ps.terms.items():
+        total += c * Fraction(r) ** int(2 * p) * Fraction(s) ** int(2 * q)
+    return total
+
+
+def test_powersum_canonical_matches_reference(rng):
+    # eta = 9/25, 1 - eta = 16/25 and eta = 25/169, 1 - eta = 144/169
+    points = ((Fraction(3, 5), Fraction(4, 5)), (Fraction(5, 13), Fraction(12, 13)))
+    for _ in range(300):
+        ps = _random_exact_sum(rng)
+        got, want = ps.canonical(), _canonical_reference(ps)
+        assert list(got.terms.items()) == list(want.terms.items()), ps
+        assert got.to_text() == want.to_text()
+        assert got.canonical().terms == got.terms
+        for r, s in points:
+            assert _exact_value(got, r, s) == _exact_value(ps, r, s)
+
+
 def test_blocksum_payload_derivatives_match_fd():
     cases = [
         BlockSum.hyp2f1(1.0, 1.0, 0.0, 0.65, 0.5, 1.85),

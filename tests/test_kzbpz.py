@@ -280,6 +280,32 @@ def test_recursion_flow_three_exact_polynomials():
         assert cur.equals(want), k
 
 
+def test_recursion_exact_stays_canonical_deep(rng):
+    # every exact step returns its canonical form, so k = 40 stays at the
+    # k + 1 terms of the closed form instead of (k+1)^2 raw ones
+    sets = []
+    while len(sets) < 3:
+        j1, j2 = Fraction(rng.randint(1, 19), 20), Fraction(rng.randint(1, 19), 20)
+        if (2 * j1 + j2).denominator != 1:
+            sets.append((j1, j2))
+    for j1, j2 in sets:
+        j4 = 3 - j1 - j2 - half
+        cur = co.block_l3_powersum(j1, j2, j4)
+        for k in range(1, 41):
+            cur = kz.recursion_step(cur, (j1, j2, half + (k - 1), j4 - (k - 1)), 3)
+            assert cur.canonical().terms == cur.terms, (j1, j2, k)
+            if k in (10, 20, 40):
+                want = co.conj_block_l3_powersum(j1, j2, half + k, j4 - k).canonical()
+                assert cur.terms == want.terms, (j1, j2, k)
+
+
+def test_recursion_exact_flow_one_deep_is_one_term():
+    j1, j2, j3 = Fraction(1, 4), Fraction(1, 5), Fraction(3, 20)
+    out = kz.recursion_iterate(
+        PowerSum.single(Fraction(1), j3), (j1, j2, j3, 1 - j1 - j2 - j3), 1, 40)
+    assert out.terms == {(j3 + 40, 0): 1}
+
+
 def test_recursion_flow_three_backward_lattice_exact():
     # the j3 = -1/2 member returns the probe-charge block exactly
     for j1t in (Fraction(3, 2), Fraction(5, 2)):
