@@ -272,8 +272,7 @@ def cmd_recurse(args) -> int:
         "exact": isinstance(result, PowerSum) and result.is_exact(),
     }
     if isinstance(result, PowerSum):
-        # an exact recursion is canonical already (its one-term start is)
-        payload["block"] = result.to_text()
+        payload["block"] = result.canonical().to_text() if result.is_exact() else result.to_text()
     if args.eta_grid:
         values = []
         for eta in args.eta_grid:

@@ -542,9 +542,8 @@ def recursion_step(block: Block, charges, ell: int, companion=AUTO) -> Block:
     (j1, j2, j3, j4) -> (j1, j2, j3+1, j4-1).
 
     companion: the specialized correlator at (j1, j2+1, j3, j4-1).  The
-    default AUTO uses the algebraic-KZ identification companion == block,
-    whose term folds into the coefficient of G; passing None insists on an
-    explicit block and raises MissingCompanion.
+    default AUTO uses the algebraic-KZ identification companion == block;
+    passing None insists on an explicit block and raises MissingCompanion.
 
     An exact step on an exact PowerSum returns its canonical form, so an
     exact recursion carries only the terms of its closed form at any depth.
@@ -566,12 +565,6 @@ def recursion_step(block: Block, charges, ell: int, companion=AUTO) -> Block:
         j1, j2, j3, j4 = map(to_complex, (j1, j2, j3, j4))
         inv_j3 = 1.0 / j3
     a_coeff = GhostPrimary(j4, ell).weight + j1 + (ell - 1) * j2
-    # folding changes the order and the rounding of the terms, so only the
-    # exact PowerSum step, whose result is canonicalized, folds
-    canon = exact and isinstance(block, PowerSum)
-    fold = canon and comp is block
-    if fold:
-        a_coeff = a_coeff + j2
     b_coeff = (ell - 1) * j3
 
     d = block.deriv()
@@ -580,9 +573,8 @@ def recursion_step(block: Block, charges, ell: int, companion=AUTO) -> Block:
     if b_coeff != 0:
         t = t + block.scale(b_coeff).mul_power(-1)
     t = t.mul_power(ell + 1).scale(-inv_j3)
-    if not fold:
-        t = t - comp.scale(j2 * inv_j3).mul_power(ell + 1)
-    if canon and t.is_exact():
+    t = t - comp.scale(j2 * inv_j3).mul_power(ell + 1)
+    if isinstance(t, PowerSum) and t.is_exact():
         return t.canonical()
     return t
 
