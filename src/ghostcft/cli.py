@@ -61,16 +61,8 @@ def _eta_grid(text: str) -> List[float]:
 
 
 def _report_json(reports) -> str:
-    if isinstance(reports, kz.ResidualReport):
-        reports = [reports]
     payload = [json.loads(rep.to_json()) for rep in reports]
     return json.dumps(payload if len(payload) > 1 else payload[0], indent=2)
-
-
-def _all_pass(reports) -> bool:
-    if isinstance(reports, kz.ResidualReport):
-        reports = [reports]
-    return all(rep.passes for rep in reports)
 
 
 # ----------------------------------------------------------------------
@@ -235,7 +227,7 @@ def cmd_residual(args) -> int:
     else:
         raise SystemExit(2)
     _emit(_report_json(reports), args.output)
-    return 0 if _all_pass(reports) else 1
+    return 0 if all(rep.passes for rep in reports) else 1
 
 
 # ----------------------------------------------------------------------
@@ -471,10 +463,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "tolerance", None) is None:
-        defaults = {"ward": 1e-9, "kz-m2": 1e-10, "kz-m1": 1e-10,
-                    "kz-j0": 1e-12, "kz-decoupled": 1e-12, "bpz": 1e-8}
-        args.tolerance = defaults.get(getattr(args, "op", ""), 1e-9)
+    if args.tolerance is None:  # residual: the engine's own default
+        args.tolerance = kz.DEFAULT_TOLERANCES[args.op]
     try:
         return args.fn(args)
     except (GhostCftError, ValueError) as exc:  # bad input; any other raise is a bug

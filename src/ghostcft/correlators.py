@@ -12,6 +12,7 @@ field at infinity contracted against w^(2h-j).
 """
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
@@ -34,6 +35,7 @@ from .scalars import (
     is_exact,
     is_half_odd_integer,
     is_integer,
+    relative_gap,
     to_complex,
 )
 
@@ -104,7 +106,7 @@ def selection_rule(spec: CorrelatorSpec) -> Verdict:
         return Verdict.zero_because("all-flows-nonpositive")
     if all(l >= 1 for l in flows):
         return Verdict.zero_because("all-flows-positive")
-    total = sum_charges(f.j0_charge for f in fields)
+    total = sum(f.j0_charge for f in fields)
     if not charge_conserved(total):
         return Verdict.zero_because("charge-violation")
     if n > 2:
@@ -119,13 +121,6 @@ def selection_rule(spec: CorrelatorSpec) -> Verdict:
         if n == 4 and ell not in (1, 2, 3):
             return Verdict.zero_because("ell-window")
     return Verdict.maybe_nonzero()
-
-
-def sum_charges(values) -> Scalar:
-    total: Scalar = 0
-    for v in values:
-        total = total + v
-    return total
 
 
 def charge_conserved(total: Scalar) -> bool:
@@ -366,7 +361,25 @@ def bulk_l2_crossterm_residual(j1, j2, j4, eta, alpha11: float = 1.0) -> float:
     ca2, cb2 = specfun.connection_coeffs_01(specfun.Hyp2F1Params(a2, b2, c2))
     t1 = alpha11 * ca1 * cb1 * g1 * h1
     t2 = alpha22 * cpow(to_complex(eta), 1 - 2 * to_complex(j4)) * ca2 * cb2 * g2 * h2
-    return abs(t1 + t2) / max(1.0, abs(t1), abs(t2))
+    return relative_gap(t1 + t2, t1, t2)
+
+
+def recursed_l2_terms(k: int, j1, j2, j4):
+    """The two k-recursed flow-2 finite sums as lists of (weight, (a, b, c)),
+    m = 0..k, each term weight * 2F1(a, b; c; eta):
+
+        first:   C(k,m) (-j4+1/2)_{k-m} (j4)_m / (1/2)_k,   (-m+1/2, -j1+1; j4+1/2),
+        second:  C(k,m) (-j4+1/2)_{k-m} (1/2)_m / (1/2)_k,  (-j4-m+1, j2; -j4+3/2)."""
+    j1c, j2c, j4c = map(to_complex, (j1, j2, j4))
+    norm = specfun.pochhammer(0.5, k)
+    first, second = [], []
+    for m in range(k + 1):
+        lead = math.comb(k, m) * specfun.pochhammer(-j4c + 0.5, k - m)
+        first.append((lead * specfun.pochhammer(j4c, m) / norm,
+                      (-m + 0.5, -j1c + 1, j4c + 0.5)))
+        second.append((lead * specfun.pochhammer(0.5, m) / norm,
+                       (-j4c - m + 1, j2c, -j4c + 1.5)))
+    return first, second
 
 
 def bulk_l2_crossterm_recursed(k: int, j1, j2, j4, eta, alpha11: float = 1.0) -> complex:
@@ -374,18 +387,14 @@ def bulk_l2_crossterm_recursed(k: int, j1, j2, j4, eta, alpha11: float = 1.0) ->
     blocks, with the coefficient ratio still taken from the base charges.
     Termwise 0->1 splits of the finite sums; vanishes for every k when the
     ratio is the monodromy-fixed one."""
-    import math as _math
-
     alpha22 = monodromy_ratio_l2(j1, j2, j4) * alpha11
-    j1c, j2c, j4c = map(to_complex, (j1, j2, j4))
+    j4c = to_complex(j4)
     x = 1 - to_complex(eta)
     etac = to_complex(eta)
 
-    def split(params_of_m, weight_of_m):
+    def split(terms):
         analytic = branch = 0j
-        for m in range(k + 1):
-            a, b, c = params_of_m(m)
-            d = weight_of_m(m)
+        for m, (d, (a, b, c)) in enumerate(terms):
             ca, cb = specfun.connection_coeffs_01(specfun.Hyp2F1Params(a, b, c))
             g = specfun.hyp2f1(a, b, a + b - c + 1, x)
             h = specfun.hyp2f1(c - a, c - b, c - a - b + 1, x)
@@ -393,22 +402,9 @@ def bulk_l2_crossterm_recursed(k: int, j1, j2, j4, eta, alpha11: float = 1.0) ->
             branch += d * cb * x**m * h
         return analytic, branch
 
-    c1 = j4c + 0.5
-    p_one, q_one = split(
-        lambda m: (-m + 0.5, -j1c + 1, c1),
-        lambda m: _math.comb(k, m)
-        * specfun.pochhammer(-j4c + 0.5, k - m)
-        * specfun.pochhammer(j4c, m)
-        / specfun.pochhammer(0.5, k),
-    )
-    c2 = -j4c + 1.5
-    p_two, q_two = split(
-        lambda m: (-j4c - m + 1, j2c, c2),
-        lambda m: _math.comb(k, m)
-        * specfun.pochhammer(-j4c + 0.5, k - m)
-        * specfun.pochhammer(0.5, m)
-        / specfun.pochhammer(0.5, k),
-    )
+    first, second = recursed_l2_terms(k, j1, j2, j4)
+    p_one, q_one = split(first)
+    p_two, q_two = split(second)
     pi1 = 2 * k + 1
     pi2 = 2 * k - j4c + 1.5
     return alpha11 * cpow(etac, 2 * pi1) * p_one * q_one + alpha22 * cpow(
@@ -584,7 +580,8 @@ def conj_blocks_l2(j1, j2, j3, j4, eta) -> Tuple[complex, complex]:
 # ----------------------------------------------------------------------
 
 _PAIRS4 = ((1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4))
-_ETA_SIGN = {(1, 2): 1, (3, 4): 1, (1, 3): -1, (2, 4): -1, (1, 4): 0, (2, 3): 0}
+# eta = w12 w34 / (w13 w24) as a product of pairwise powers
+_ETA_EXPONENTS = {(1, 2): 1, (3, 4): 1, (1, 3): -1, (2, 4): -1}
 
 
 def ward_exponents(charges: Sequence[Scalar], weights: Sequence[Scalar]):
@@ -605,7 +602,7 @@ def ward_exponents(charges: Sequence[Scalar], weights: Sequence[Scalar]):
     if n == 4:
         third = Fraction(1, 3) if all_exact(*weights) else (1.0 / 3.0)
         half_f = HALF if all_exact(*charges) else 0.5
-        h = third * sum_charges(weights)
+        h = third * sum(weights)
         out = {}
         for (a, b) in _PAIRS4:
             out[(a, b)] = (
@@ -645,9 +642,6 @@ class WardForm:
                 raise UnsupportedShape("N < 4 Ward forms take a constant H only")
 
     # -- helpers ----------------------------------------------------------
-    def _pairs(self):
-        return self.exponents.keys()
-
     @staticmethod
     def _eta(ws):
         return ((ws[0] - ws[1]) * (ws[2] - ws[3])) / ((ws[0] - ws[2]) * (ws[1] - ws[3]))
@@ -658,42 +652,24 @@ class WardForm:
             out *= cpow(ws[a - 1] - ws[b - 1], e)
         return out
 
-    def _log_derivative(self, i: int, ws) -> complex:
-        """d_i log Pi."""
+    @staticmethod
+    def _log_derivative(exponents, i: int, ws) -> complex:
+        """d_i log prod_{a<b} w_ab^{e_ab}."""
         out = 0j
-        for (a, b), e in self.exponents.items():
+        for (a, b), e in exponents.items():
             if a - 1 == i:
                 out += to_complex(e) / (ws[a - 1] - ws[b - 1])
             elif b - 1 == i:
                 out -= to_complex(e) / (ws[a - 1] - ws[b - 1])
         return out
 
-    def _log_derivative_prime(self, i: int, ws) -> complex:
-        """d_i of _log_derivative(i)."""
+    @staticmethod
+    def _log_derivative_prime(exponents, i: int, ws) -> complex:
+        """d_i of _log_derivative(exponents, i)."""
         out = 0j
-        for (a, b), e in self.exponents.items():
+        for (a, b), e in exponents.items():
             if i in (a - 1, b - 1):
                 out -= to_complex(e) / (ws[a - 1] - ws[b - 1]) ** 2
-        return out
-
-    def _eta_lambda(self, i: int, ws) -> complex:
-        """d_i log eta."""
-        out = 0j
-        for (a, b), sign in _ETA_SIGN.items():
-            if sign == 0:
-                continue
-            if a - 1 == i:
-                out += sign / (ws[a - 1] - ws[b - 1])
-            elif b - 1 == i:
-                out -= sign / (ws[a - 1] - ws[b - 1])
-        return out
-
-    def _eta_lambda_prime(self, i: int, ws) -> complex:
-        out = 0j
-        for (a, b), sign in _ETA_SIGN.items():
-            if sign == 0 or i not in (a - 1, b - 1):
-                continue
-            out -= sign / (ws[a - 1] - ws[b - 1]) ** 2
         return out
 
     # -- evaluation --------------------------------------------------------
@@ -708,11 +684,11 @@ class WardForm:
     def d(self, i: int, ws) -> complex:
         ws = [to_complex(w) for w in ws]
         pre = self._prefactor(ws)
-        dlog = self._log_derivative(i, ws)
+        dlog = self._log_derivative(self.exponents, i, ws)
         if self.n < 4:
             return self._const * dlog * pre
         eta = self._eta(ws)
-        lam = self._eta_lambda(i, ws)
+        lam = self._log_derivative(_ETA_EXPONENTS, i, ws)
         hval = self.h.value(eta)
         hder = self._h1.value(eta)
         return (hder * eta * lam + hval * dlog) * pre
@@ -720,13 +696,13 @@ class WardForm:
     def d2(self, i: int, ws) -> complex:
         ws = [to_complex(w) for w in ws]
         pre = self._prefactor(ws)
-        dlog = self._log_derivative(i, ws)
-        dlog_p = self._log_derivative_prime(i, ws)
+        dlog = self._log_derivative(self.exponents, i, ws)
+        dlog_p = self._log_derivative_prime(self.exponents, i, ws)
         if self.n < 4:
             return self._const * (dlog * dlog + dlog_p) * pre
         eta = self._eta(ws)
-        lam = self._eta_lambda(i, ws)
-        lam_p = self._eta_lambda_prime(i, ws)
+        lam = self._log_derivative(_ETA_EXPONENTS, i, ws)
+        lam_p = self._log_derivative_prime(_ETA_EXPONENTS, i, ws)
         eta_i = eta * lam
         eta_ii = eta * (lam * lam + lam_p)
         h0 = self.h.value(eta)

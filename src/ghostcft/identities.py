@@ -18,7 +18,8 @@ from fractions import Fraction
 from typing import Tuple
 
 from . import specfun
-from .scalars import Scalar, cpow, to_complex
+from .correlators import recursed_l2_terms
+from .scalars import Scalar, cpow, relative_gap, to_complex
 
 HALF = Fraction(1, 2)
 
@@ -65,7 +66,7 @@ def appb_rhs(case: IdentityCase) -> complex:
 
 def identity_gap(case: IdentityCase) -> float:
     lhs, rhs = appb_lhs(case), appb_rhs(case)
-    return abs(lhs - rhs) / max(1.0, abs(lhs), abs(rhs))
+    return relative_gap(lhs - rhs, lhs, rhs)
 
 
 @dataclass(frozen=True)
@@ -79,19 +80,19 @@ class BlockSumVerdict:
         return max(self.first_gap, self.second_gap) <= self.tolerance
 
 
+def _finite_sum(terms, eta) -> complex:
+    """sum weight * 2F1(a, b; c; eta) over the (weight, (a, b, c)) terms."""
+    total = 0j
+    for weight, params in terms:
+        total += weight * specfun.hyp2f1(*params, eta)
+    return total
+
+
 def blocksum_first(k: int, j1, j2, j4, eta) -> Tuple[complex, complex]:
     """LHS/RHS of the first flow-2 block-sum form."""
     j1c, j4c = to_complex(j1), to_complex(j4)
     etac = to_complex(eta)
-    lhs = 0j
-    for m in range(k + 1):
-        lhs += (
-            math.comb(k, m)
-            * specfun.pochhammer(-j4c + 0.5, k - m)
-            * specfun.pochhammer(j4c, m)
-            / specfun.pochhammer(0.5, k)
-            * specfun.hyp2f1(-m + 0.5, -j1c + 1, j4c + 0.5, etac)
-        )
+    lhs = _finite_sum(recursed_l2_terms(k, j1, j2, j4)[0], etac)
     w = -etac / (1 - etac)
     rhs = cpow(1 - etac, j1c - 1) * specfun.hyp3f2(
         j4c, -j1c + 1, k + 0.5, j4c + 0.5, 0.5, w
@@ -104,15 +105,7 @@ def blocksum_second(k: int, j1, j2, j4, eta) -> Tuple[complex, complex]:
     (-j4+1)_k/(1/2)_k prefactor on the closed side)."""
     j2c, j4c = to_complex(j2), to_complex(j4)
     etac = to_complex(eta)
-    lhs = 0j
-    for m in range(k + 1):
-        lhs += (
-            math.comb(k, m)
-            * specfun.pochhammer(-j4c + 0.5, k - m)
-            * specfun.pochhammer(0.5, m)
-            / specfun.pochhammer(0.5, k)
-            * specfun.hyp2f1(-j4c - m + 1, j2c, -j4c + 1.5, etac)
-        )
+    lhs = _finite_sum(recursed_l2_terms(k, j1, j2, j4)[1], etac)
     w = -etac / (1 - etac)
     pref = specfun.pochhammer(-j4c + 1, k) / specfun.pochhammer(0.5, k)
     rhs = pref * cpow(1 - etac, -j2c) * specfun.hyp3f2(
@@ -126,6 +119,5 @@ def blocksum_check_l2(k: int, j1, j2, j4, eta, tolerance: float = 1e-9
     """Verify both displayed flow-2 block-sum equalities."""
     l1, r1 = blocksum_first(k, j1, j2, j4, eta)
     l2, r2 = blocksum_second(k, j1, j2, j4, eta)
-    gap1 = abs(l1 - r1) / max(1.0, abs(l1), abs(r1))
-    gap2 = abs(l2 - r2) / max(1.0, abs(l2), abs(r2))
-    return BlockSumVerdict(gap1, gap2, tolerance)
+    return BlockSumVerdict(relative_gap(l1 - r1, l1, r1), relative_gap(l2 - r2, l2, r2),
+                           tolerance)

@@ -22,7 +22,7 @@ import json
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, List, Optional, Tuple, Union
 
 from .blocks import BlockSum, PowerSum, as_blocksum
 from .correlators import (
@@ -33,7 +33,7 @@ from .correlators import (
     ward_exponents,
 )
 from .errors import ChargeError, DivisionByZeroCharge, MissingCompanion
-from .scalars import Scalar, all_exact, as_fraction, cpow, is_exact, to_complex
+from .scalars import Scalar, all_exact, as_fraction, cpow, is_exact, relative_gap, to_complex
 
 HALF = Fraction(1, 2)
 
@@ -47,6 +47,10 @@ DEFAULT_ETA_POINTS: Tuple[complex, ...] = (
 )
 
 DEFAULT_SEED = 42
+
+# Default tolerance of each residual engine, keyed by its CLI --op name.
+DEFAULT_TOLERANCES = {"ward": 1e-9, "kz-m2": 1e-10, "kz-m1": 1e-10,
+                      "kz-j0": 1e-12, "kz-decoupled": 1e-12, "bpz": 1e-8}
 
 
 def sample_insertions(n: int, count: int = 5, seed: int = DEFAULT_SEED,
@@ -66,9 +70,14 @@ class ResidualReport:
     """Sampled residuals of one operator identity."""
 
     operator: str
-    max_abs: float
+    max_abs: float = 0.0
     samples: List[dict] = field(default_factory=list)
     tolerance: Optional[float] = None
+
+    def add(self, where: dict, residual: float) -> None:
+        """Record one sample (where it was taken, then its residual)."""
+        self.samples.append({**where, "residual": residual})
+        self.max_abs = max(self.max_abs, residual)
 
     @property
     def passes(self) -> Optional[bool]:
@@ -87,11 +96,6 @@ class ResidualReport:
             },
             default=str,
         )
-
-
-def _scaled(residual: complex, *magnitudes: complex) -> float:
-    scale = max(1.0, *(abs(m) for m in magnitudes)) if magnitudes else 1.0
-    return abs(residual) / scale
 
 
 class NumericDerivatives:
@@ -145,7 +149,8 @@ def _as_form(F, n: int):
 # ----------------------------------------------------------------------
 
 
-def ward_residuals(F, charges, weights, points=None, tolerance: float = 1e-9):
+def ward_residuals(F, charges, weights, points=None,
+                   tolerance: float = DEFAULT_TOLERANCES["ward"]):
     """Residuals of the four zero-mode identities on sampled insertions.
 
     The scaling and special-conformal identities carry the h - q/2 shift of
@@ -157,7 +162,7 @@ def ward_residuals(F, charges, weights, points=None, tolerance: float = 1e-9):
     hs = [to_complex(h) for h in weights]
     shifted = [hs[i] - qs[i] / 2 for i in range(n)]
     reports = {
-        name: ResidualReport(name, 0.0, tolerance=tolerance)
+        name: ResidualReport(name, tolerance=tolerance)
         for name in ("J0", "L-1", "L0", "L1")
     }
     for ws in points:
@@ -174,10 +179,8 @@ def ward_residuals(F, charges, weights, points=None, tolerance: float = 1e-9):
             ),
         }
         for name, r in res.items():
-            rep = reports[name]
-            scaled = _scaled(r, val, *(ders if name != "J0" else ()))
-            rep.samples.append({"ws": [str(w) for w in ws], "residual": scaled})
-            rep.max_abs = max(rep.max_abs, scaled)
+            reports[name].add({"ws": [str(w) for w in ws]},
+                              relative_gap(r, val, *(ders if name != "J0" else ())))
     return reports
 
 
@@ -271,7 +274,8 @@ class FourPointL1Family:
         return unspecialize_block(self._block(c), a, b, c, j4 - 1, 1)
 
 
-def kz_residual_m2(family, charges, points=None, tolerance: float = 1e-10,
+def kz_residual_m2(family, charges, points=None,
+                   tolerance: float = DEFAULT_TOLERANCES["kz-m2"],
                    label: str = "kz-m2") -> ResidualReport:
     """Residual of the charge-shift identity
 
@@ -284,7 +288,7 @@ def kz_residual_m2(family, charges, points=None, tolerance: float = 1e-10,
     base = family.base(charges)
     companions = {i: family.companion(i, charges) for i in range(1, n)}
     points = points if points is not None else sample_insertions(n)
-    report = ResidualReport(label, 0.0, tolerance=tolerance)
+    report = ResidualReport(label, tolerance=tolerance)
     for ws in points:
         wsc = [to_complex(w) for w in ws]
         lhs = base.d(n - 1, wsc)
@@ -300,14 +304,12 @@ def kz_residual_m2(family, charges, points=None, tolerance: float = 1e-10,
                 / (wsc[i - 1] - wsc[n - 1]) ** (ell + 1)
                 * companions[i].value(wsc)
             )
-        scaled = _scaled(lhs - rhs, lhs, rhs, val)
-        report.samples.append({"ws": [str(w) for w in ws], "residual": scaled})
-        report.max_abs = max(report.max_abs, scaled)
+        report.add({"ws": [str(w) for w in ws]}, relative_gap(lhs - rhs, lhs, rhs, val))
     return report
 
 
-def kz_residual_m1_l1(family, charges, points=None, tolerance: float = 1e-10
-                      ) -> ResidualReport:
+def kz_residual_m1_l1(family, charges, points=None,
+                      tolerance: float = DEFAULT_TOLERANCES["kz-m1"]) -> ResidualReport:
     """Residual of the flow-1 first-order identities
     d_i F = j_i / w_iN^2 * F_i for i = 1..N-1 (w-space)."""
     if family.ell != 1:
@@ -315,7 +317,7 @@ def kz_residual_m1_l1(family, charges, points=None, tolerance: float = 1e-10
     n = len(charges)
     base = family.base(charges)
     points = points if points is not None else sample_insertions(n)
-    report = ResidualReport("kz-m1", 0.0, tolerance=tolerance)
+    report = ResidualReport("kz-m1", tolerance=tolerance)
     for ws in points:
         wsc = [to_complex(w) for w in ws]
         for i in range(1, n):
@@ -326,11 +328,7 @@ def kz_residual_m1_l1(family, charges, points=None, tolerance: float = 1e-10
                 / (wsc[i - 1] - wsc[n - 1]) ** 2
                 * comp.value(wsc)
             )
-            scaled = _scaled(lhs - rhs, lhs, rhs)
-            report.samples.append(
-                {"ws": [str(w) for w in ws], "i": i, "residual": scaled}
-            )
-            report.max_abs = max(report.max_abs, scaled)
+            report.add({"ws": [str(w) for w in ws], "i": i}, relative_gap(lhs - rhs, lhs, rhs))
     return report
 
 
@@ -339,52 +337,42 @@ def kz_residual_m1_l1(family, charges, points=None, tolerance: float = 1e-10
 # ----------------------------------------------------------------------
 
 
-def _eval(block, eta) -> complex:
-    return as_blocksum(block).value(eta)
-
-
-def _deriv_eval(block, eta) -> complex:
-    return as_blocksum(block).deriv().value(eta)
+def _eta_sweep(label: str, etas, tolerance: float, lhs, rhs) -> ResidualReport:
+    """The residual report of lhs(eta) = rhs(eta) over the sampled etas."""
+    report = ResidualReport(label, tolerance=tolerance)
+    for eta in etas:
+        left, right = lhs(eta), rhs(eta)
+        report.add({"eta": str(eta)}, relative_gap(left - right, left, right))
+    return report
 
 
 def kz_specialized_m1_residual(block, block_shifted, j3, etas=DEFAULT_ETA_POINTS,
-                               tolerance: float = 1e-10) -> ResidualReport:
+                               tolerance: float = DEFAULT_TOLERANCES["kz-m1"]
+                               ) -> ResidualReport:
     """d_eta G_{j3,j4} = (j3/eta^2) G_{j3+1,j4-1} in the frame (oo,1,eta,0)."""
-    report = ResidualReport("kz-m1-specialized", 0.0, tolerance=tolerance)
-    for eta in etas:
-        lhs = _deriv_eval(block, eta)
-        rhs = to_complex(j3) / to_complex(eta) ** 2 * _eval(block_shifted, eta)
-        scaled = _scaled(lhs - rhs, lhs, rhs)
-        report.samples.append({"eta": str(eta), "residual": scaled})
-        report.max_abs = max(report.max_abs, scaled)
-    return report
+    shifted = as_blocksum(block_shifted)
+    return _eta_sweep(
+        "kz-m1-specialized", etas, tolerance, as_blocksum(block).deriv().value,
+        lambda eta: to_complex(j3) / to_complex(eta) ** 2 * shifted.value(eta))
 
 
 def kz_specialized_j0_residual(block, block_shifted, etas=DEFAULT_ETA_POINTS,
-                               tolerance: float = 1e-12) -> ResidualReport:
+                               tolerance: float = DEFAULT_TOLERANCES["kz-j0"]
+                               ) -> ResidualReport:
     """G_{j3,j4} = (1/eta) G_{j3+1,j4-1}: the algebraic identity at flow 1."""
-    report = ResidualReport("kz-j0-specialized", 0.0, tolerance=tolerance)
-    for eta in etas:
-        lhs = _eval(block, eta)
-        rhs = _eval(block_shifted, eta) / to_complex(eta)
-        scaled = _scaled(lhs - rhs, lhs, rhs)
-        report.samples.append({"eta": str(eta), "residual": scaled})
-        report.max_abs = max(report.max_abs, scaled)
-    return report
+    shifted = as_blocksum(block_shifted)
+    return _eta_sweep("kz-j0-specialized", etas, tolerance, as_blocksum(block).value,
+                      lambda eta: shifted.value(eta) / to_complex(eta))
 
 
 def kz_decoupled_residual(block, j3, etas=DEFAULT_ETA_POINTS,
-                          tolerance: float = 1e-12) -> ResidualReport:
+                          tolerance: float = DEFAULT_TOLERANCES["kz-decoupled"]
+                          ) -> ResidualReport:
     """d_eta G = (j3/eta) G: the first-order identity after eliminating the
     shifted block with the algebraic identity."""
-    report = ResidualReport("kz-l1-decoupled", 0.0, tolerance=tolerance)
-    for eta in etas:
-        lhs = _deriv_eval(block, eta)
-        rhs = to_complex(j3) / to_complex(eta) * _eval(block, eta)
-        scaled = _scaled(lhs - rhs, lhs, rhs)
-        report.samples.append({"eta": str(eta), "residual": scaled})
-        report.max_abs = max(report.max_abs, scaled)
-    return report
+    g = as_blocksum(block)
+    return _eta_sweep("kz-l1-decoupled", etas, tolerance, g.deriv().value,
+                      lambda eta: to_complex(j3) / to_complex(eta) * g.value(eta))
 
 
 def kz_fourpoint_constant_relations(charges) -> bool:
@@ -426,7 +414,8 @@ def bpz_apply(F, i: int, charges, weights, ws) -> complex:
 
 
 def bpz_residual(F, i: int, charges, weights, points=None, rhs=None,
-                 tolerance: float = 1e-8, label: str = "bpz") -> ResidualReport:
+                 tolerance: float = DEFAULT_TOLERANCES["bpz"],
+                 label: str = "bpz") -> ResidualReport:
     """Residual of the second-order constraint at the charge-1/2 insertion i
     (0-based); rhs, when given, is the explicit right side (ws -> value)."""
     q_i = charges[i]
@@ -434,15 +423,13 @@ def bpz_residual(F, i: int, charges, weights, points=None, rhs=None,
         raise ChargeError(f"the probe insertion must carry charge 1/2, got {q_i}")
     n = len(charges)
     points = points if points is not None else sample_insertions(n)
-    report = ResidualReport(label, 0.0, tolerance=tolerance)
+    report = ResidualReport(label, tolerance=tolerance)
     form = _as_form(F, n)
     for ws in points:
         wsc = [to_complex(w) for w in ws]
         lhs = bpz_apply(F, i, charges, weights, wsc)
         want = rhs(wsc) if rhs is not None else 0j
-        scaled = _scaled(lhs - want, form.value(wsc), want)
-        report.samples.append({"ws": [str(w) for w in ws], "residual": scaled})
-        report.max_abs = max(report.max_abs, scaled)
+        report.add({"ws": [str(w) for w in ws]}, relative_gap(lhs - want, form.value(wsc), want))
     return report
 
 

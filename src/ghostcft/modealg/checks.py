@@ -6,7 +6,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Optional
 
 from . import jl
 from .expr import BETA, GAMMA, Mode, ModeExpr, mode
@@ -14,11 +14,9 @@ from .states import (
     GhostState,
     act,
     act_current,
-    act_current_squared,
     act_flowed,
     act_singlet,
     act_virasoro,
-    basis_states,
 )
 
 
@@ -39,12 +37,13 @@ class NullVectorReport:
         )
 
 
-def _chi_direct_jl(vec: jl.JLVector) -> jl.JLVector:
-    """(L_{-1}^2 - (1/2) L_{-2} + J_{-1} L_{-1}) v in the J/L envelope."""
-    lm1 = jl.apply_virasoro(vec, -1)
-    out = jl.apply_virasoro(lm1, -1)
-    out = out - jl.apply_virasoro(vec, -2).scale(Fraction(1, 2))
-    out = out + jl.apply_current(lm1, -1)
+def _chi_direct(vec, virasoro, current):
+    """(L_{-1}^2 - (1/2) L_{-2} + J_{-1} L_{-1}) v, with L_n and J_n acting
+    as virasoro(v, n) and current(v, n)."""
+    lm1 = virasoro(vec, -1)
+    out = virasoro(lm1, -1)
+    out = out - virasoro(vec, -2).scale(Fraction(1, 2))
+    out = out + current(lm1, -1)
     return out
 
 
@@ -57,11 +56,7 @@ def _chi_singlet_jl(vec: jl.JLVector) -> jl.JLVector:
 def chi_state(state: GhostState) -> GhostState:
     """(L_{-1}^2 - (1/2) L_{-2} + J_{-1} L_{-1}) acting through the ghost
     bilinears on a ghost state."""
-    lm1 = act_virasoro(state, -1)
-    out = act_virasoro(lm1, -1)
-    out = out - act_virasoro(state, -2).scale(Fraction(1, 2))
-    out = out + act_current(lm1, -1)
-    return out
+    return _chi_direct(state, act_virasoro, act_current)
 
 
 def chi_null_check(generic_charge=Fraction(1, 4)) -> NullVectorReport:
@@ -69,7 +64,7 @@ def chi_null_check(generic_charge=Fraction(1, 4)) -> NullVectorReport:
     before expansion, then expand into ghost modes and test vanishing."""
     hw = jl.JLVector.highest_weight(Fraction(1, 2), 0)
     singlet_form = _chi_singlet_jl(hw)
-    direct_form = _chi_direct_jl(hw)
+    direct_form = _chi_direct(hw, jl.apply_virasoro, jl.apply_current)
     matches = (singlet_form - direct_form).is_zero() and not direct_form.is_zero()
 
     vanishes = chi_state(GhostState.primary(Fraction(1, 2))).is_zero()
@@ -101,80 +96,69 @@ def kac_locus_check(j) -> bool:
 Action = Callable[[GhostState, int], GhostState]
 
 
-def _commutator_on_state(a1: Action, m: int, a2: Action, n: int, s: GhostState) -> GhostState:
-    return a1(a2(s, n), m) - a2(a1(s, m), n)
+def _brackets_hold(states: Iterable[GhostState], index_range, x: Action, y: Action,
+                   want: Callable[[GhostState, int, int], Optional[GhostState]]) -> bool:
+    """[X_m, Y_n] s == want(s, m, n) for every state s and m, n in
+    index_range, with X_m = x(., m) and Y_n = y(., n); a want of None skips
+    the pair."""
+    for s in states:
+        for m in index_range:
+            for n in index_range:
+                expected = want(s, m, n)
+                if expected is not None and x(y(s, n), m) - y(x(s, m), n) != expected:
+                    return False
+    return True
 
 
 def check_jj_commutators(states: Iterable[GhostState], index_range=range(-3, 4)) -> bool:
     """[J_m, J_n] = -m delta_{m+n} on every state."""
-    for s in states:
-        for m in index_range:
-            for n in index_range:
-                got = _commutator_on_state(act_current, m, act_current, n, s)
-                want = s.scale(Fraction(-m)) if m + n == 0 else s.scale(0)
-                if got != want:
-                    return False
-    return True
+    return _brackets_hold(states, index_range, act_current, act_current,
+                          lambda s, m, n: s.scale(Fraction(-m) if m + n == 0 else 0))
 
 
 def check_lj_commutators(states: Iterable[GhostState], index_range=range(-3, 4)) -> bool:
     """[L_m, J_n] = -m(m+1)/2 delta_{m+n} - n J_{m+n} on every state."""
-    for s in states:
-        for m in index_range:
-            for n in index_range:
-                got = _commutator_on_state(act_virasoro, m, act_current, n, s)
-                want = act_current(s, m + n).scale(Fraction(-n))
-                if m + n == 0:
-                    want = want + s.scale(Fraction(-m * (m + 1), 2))
-                if got != want:
-                    return False
-    return True
+
+    def want(s, m, n):
+        out = act_current(s, m + n).scale(Fraction(-n))
+        return out + s.scale(Fraction(-m * (m + 1), 2)) if m + n == 0 else out
+
+    return _brackets_hold(states, index_range, act_virasoro, act_current, want)
 
 
 def check_virasoro(states: Iterable[GhostState], central: Fraction,
                    action: Action, index_range=range(-3, 4)) -> bool:
     """[X_m, X_n] = (m-n) X_{m+n} + (c/12) m(m^2-1) delta_{m+n} on states."""
     central = Fraction(central)
-    for s in states:
-        for m in index_range:
-            for n in index_range:
-                if m >= n:
-                    continue
-                got = _commutator_on_state(action, m, action, n, s)
-                want = action(s, m + n).scale(Fraction(m - n))
-                if m + n == 0:
-                    want = want + s.scale(central * m * (m * m - 1) / 12)
-                if got != want:
-                    return False
-    return True
+
+    def want(s, m, n):
+        if m >= n:
+            return None
+        out = action(s, m + n).scale(Fraction(m - n))
+        return out + s.scale(central * m * (m * m - 1) / 12) if m + n == 0 else out
+
+    return _brackets_hold(states, index_range, action, action, want)
 
 
 def check_singlet_commutes_with_current(states: Iterable[GhostState],
                                         index_range=range(-3, 4)) -> bool:
     """[Ls_m, J_n] = 0 on every state."""
-    for s in states:
-        for m in index_range:
-            for n in index_range:
-                got = _commutator_on_state(act_singlet, m, act_current, n, s)
-                if not got.is_zero():
-                    return False
-    return True
+    return _brackets_hold(states, index_range, act_singlet, act_current,
+                          lambda s, m, n: s.scale(0))
 
 
 def check_mode_commutators_under_L(states: Iterable[GhostState],
                                    index_range=range(-2, 3)) -> bool:
     """[L_m, b_n] = -n b_{m+n} and [L_m, g_n] = -(m+n) g_{m+n} on states."""
-    for s in states:
-        for m in index_range:
-            for n in index_range:
-                b = ModeExpr.beta
-                g = ModeExpr.gamma
-                got = act_virasoro(act(b(n), s), m) - act(b(n), act_virasoro(s, m))
-                if got != act(b(m + n), s).scale(Fraction(-n)):
-                    return False
-                got = act_virasoro(act(g(n), s), m) - act(g(n), act_virasoro(s, m))
-                if got != act(g(m + n), s).scale(Fraction(-(m + n))):
-                    return False
+    states = list(states)
+    # [L_m, x_n] = -(n + a m) x_{m+n}, with a = 0 for b and a = 1 for g
+    for ghost, a in ((ModeExpr.beta, 0), (ModeExpr.gamma, 1)):
+        def y(s, n):
+            return act(ghost(n), s)
+
+        if not _brackets_hold(states, index_range, act_virasoro, y,
+                              lambda s, m, n: y(s, m + n).scale(Fraction(-(n + a * m)))):
+            return False
     return True
 
 

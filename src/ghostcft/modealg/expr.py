@@ -66,6 +66,16 @@ def jj_pairs(n: int, w: int):
     return [(n - hi, hi, mult, edge) for hi, (mult, edge) in pairs.items()]
 
 
+def _singlet(vec: LinComb, n: int, virasoro, current_squared, current) -> LinComb:
+    """Ls_n v = L_n v + (1/2)(JJ)_n v - ((n+1)/2) J_n v, with each composite
+    acting as action(v, n)."""
+    out: Dict = {}
+    accumulate(out, virasoro(vec, n).terms)
+    accumulate(out, current_squared(vec, n).terms, Fraction(1, 2))
+    accumulate(out, current(vec, n).terms, Fraction(-(n + 1), 2))
+    return vec._like(out)
+
+
 _FAMILY_ORDER = {BETA: 0, GAMMA: 1}
 
 

@@ -16,7 +16,7 @@ from typing import Dict, List, Optional, Tuple
 
 from ..errors import TruncationError
 from ..lincomb import LinComb, accumulate
-from .expr import CURRENT, VIRASORO, Mode, jj_pairs, mode
+from .expr import CURRENT, VIRASORO, Mode, _singlet, jj_pairs, mode
 
 _RANK = {CURRENT: 0, VIRASORO: 1}
 
@@ -145,8 +145,4 @@ def apply_current_squared(vec: JLVector, n: int) -> JLVector:
 
 def apply_singlet(vec: JLVector, n: int) -> JLVector:
     """Ls_n = L_n + (1/2)(JJ)_n - ((n+1)/2) J_n."""
-    out: Dict[Word, Fraction] = {}
-    accumulate(out, apply_virasoro(vec, n).terms)
-    accumulate(out, apply_current_squared(vec, n).terms, Fraction(1, 2))
-    accumulate(out, apply_current(vec, n).terms, Fraction(-(n + 1), 2))
-    return vec._like(out)
+    return _singlet(vec, n, apply_virasoro, apply_current_squared, apply_current)

@@ -40,7 +40,7 @@ from typing import Dict, Iterable, List, Optional, Tuple
 from ..errors import TruncationError
 from ..lincomb import LinComb, accumulate
 from .expr import (
-    BETA, CURRENT, GAMMA, SINGLET, VIRASORO, Mode, ModeExpr, Word, jj_pairs, mode,
+    BETA, CURRENT, GAMMA, SINGLET, VIRASORO, Mode, ModeExpr, Word, _singlet, jj_pairs, mode,
 )
 
 Monomial = Tuple[Mode, ...]  # sorted creation modes
@@ -262,11 +262,7 @@ def act_current_squared(state: GhostState, n: int) -> GhostState:
 
 def act_singlet(state: GhostState, n: int) -> GhostState:
     """Ls_n = L_n + (1/2)(JJ)_n - ((n+1)/2) J_n."""
-    out: Dict[StateKey, Fraction] = {}
-    accumulate(out, act_virasoro(state, n).terms)
-    accumulate(out, act_current_squared(state, n).terms, Fraction(1, 2))
-    accumulate(out, act_current(state, n).terms, Fraction(-(n + 1), 2))
-    return state._like(out)
+    return _singlet(state, n, act_virasoro, act_current_squared, act_current)
 
 
 def act_flowed(state: GhostState, m: Mode, ell: int) -> GhostState:

@@ -109,6 +109,12 @@ def cpow(w: Scalar, p: Scalar) -> Scalar:
     return cmath.exp(pc * cmath.log(wc))
 
 
+def relative_gap(residual: Scalar, *magnitudes: Scalar) -> float:
+    """|residual| / max(1, |m| for m in magnitudes): the scale every residual
+    and identity check reports, absolute near zero and relative beyond 1."""
+    return abs(residual) / max((1.0, *map(abs, magnitudes)))
+
+
 def parse_charge(text: str) -> Scalar:
     """Parse a charge given as an exact fraction ('3/4', '-2') or a finite
     decimal; anything else raises ValueError."""

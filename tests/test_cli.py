@@ -47,6 +47,22 @@ def test_residual_ward_and_kz(capsys):
     assert payload["max_residual"] < 1e-10
 
 
+@pytest.mark.parametrize("op, charges", [
+    ("ward", "0.3,0.45,0.27,-0.02"), ("kz-m2", "0.3,0.45,1.25"),
+    ("kz-m1", "0.3,0.45,0.27,-0.02"), ("kz-j0", "0.3,0.45,0.27,-0.02"),
+    ("kz-decoupled", "0.3,0.45,0.27,-0.02"), ("bpz", "0.3,0.4,1/2,0.8"),
+])
+def test_residual_default_tolerance_is_the_engine_table(capsys, op, charges):
+    from ghostcft.kzbpz import DEFAULT_TOLERANCES
+
+    ell = "2" if op in ("kz-m2", "bpz") else "1"
+    code, out = run(capsys, "residual", "--op", op, "--ell", ell, "--charges", charges)
+    payload = json.loads(out)
+    reports = payload if isinstance(payload, list) else [payload]
+    assert code == 0
+    assert {rep["tolerance"] for rep in reports} == {DEFAULT_TOLERANCES[op]}
+
+
 def test_scan_emits_csv_columns(capsys, tmp_path):
     out_path = tmp_path / "scan.csv"
     code, _ = run(

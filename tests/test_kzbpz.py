@@ -451,3 +451,117 @@ def test_report_json_schema():
     payload = json.loads(rep.to_json())
     assert set(payload) == {"operator", "tolerance", "max_residual", "pass", "samples"}
     assert payload["pass"] is True
+
+
+# ----------------------------------------------------------------------
+# the shared residual loop: wrong inputs fail, one sample layout
+# ----------------------------------------------------------------------
+
+
+class _ScaledCompanion:
+    """A family whose companions carry 1.1 times the right constant."""
+
+    def __init__(self, family):
+        self.family = family
+        self.ell = family.ell
+
+    def base(self, charges):
+        return self.family.base(charges)
+
+    def companion(self, i, charges):
+        form = self.family.companion(i, charges)
+        return co.WardForm(form.charges, form.weights, form.h.scale(1.1), form.exponents)
+
+
+_FOUR_L1 = (0.3, 0.45, 0.27, 1 - 0.3 - 0.45 - 0.27)
+
+
+@pytest.mark.parametrize("family, charges", [
+    (kz.TwoPointFamily(), (0.37, 0.63)),
+    (kz.ThreePointFamily(1), (0.3, 0.45, 0.25)),
+    (kz.ThreePointFamily(2), (0.3, 0.45, 1.25)),
+    (kz.FourPointL1Family(), _FOUR_L1),
+])
+def test_kz_m2_flags_wrong_companion_constant(family, charges):
+    assert kz.kz_residual_m2(family, charges).passes
+    rep = kz.kz_residual_m2(_ScaledCompanion(family), charges)
+    assert rep.passes is False and rep.max_abs > 1e-3
+
+
+def test_kz_m1_flags_wrong_companion_constant():
+    fam = kz.FourPointL1Family()
+    assert kz.kz_residual_m1_l1(fam, _FOUR_L1).passes
+    rep = kz.kz_residual_m1_l1(_ScaledCompanion(fam), _FOUR_L1)
+    assert rep.passes is False and rep.max_abs > 1e-3
+
+
+def test_eta_sweeps_flag_wrong_j3():
+    j3, wrong = Fraction(27, 100), Fraction(27, 100) + Fraction(1, 4)
+    blk = PowerSum.single(Fraction(1), j3)
+    shifted = PowerSum.single(Fraction(1), j3 + 1)
+    reports = [
+        kz.kz_specialized_m1_residual(blk, shifted, wrong),
+        kz.kz_specialized_j0_residual(blk, PowerSum.single(Fraction(1), wrong + 1)),
+        kz.kz_decoupled_residual(blk, wrong),
+    ]
+    for rep in reports:
+        assert rep.passes is False and rep.max_abs > 1e-3, rep.operator
+
+
+def _all_engine_reports():
+    """One report of each residual engine, on inputs that pass."""
+    fam = kz.FourPointL1Family()
+    j3 = Fraction(27, 100)
+    blk = PowerSum.single(Fraction(1), j3)
+    shifted = PowerSum.single(Fraction(1), j3 + 1)
+    form = fam.base(_FOUR_L1)
+    bpz_form = co.unspecialize_block(co.fourpoint_blocksums(2, 0.3, 0.4, 0.8)[0],
+                                     0.3, 0.4, 0.5, 0.8, 2)
+    return [
+        *kz.ward_residuals(form, form.charges, form.weights).values(),
+        kz.kz_residual_m2(fam, _FOUR_L1),
+        kz.kz_residual_m1_l1(fam, _FOUR_L1),
+        kz.kz_specialized_m1_residual(blk, shifted, j3),
+        kz.kz_specialized_j0_residual(blk, shifted),
+        kz.kz_decoupled_residual(blk, j3),
+        kz.bpz_residual(bpz_form, 2, bpz_form.charges, bpz_form.weights),
+    ]
+
+
+def test_report_sample_layout():
+    layouts = {"kz-m1": ["ws", "i", "residual"], "kz-m1-specialized": ["eta", "residual"],
+               "kz-j0-specialized": ["eta", "residual"], "kz-l1-decoupled": ["eta", "residual"]}
+    import json
+
+    reports = _all_engine_reports()
+    assert len(reports) == 10
+    for rep in reports:
+        payload = json.loads(rep.to_json())
+        assert payload["pass"] is True, rep.operator
+        want = layouts.get(rep.operator, ["ws", "residual"])
+        assert payload["samples"] and all(list(s) == want for s in payload["samples"])
+        assert payload["max_residual"] == max(s["residual"] for s in payload["samples"])
+
+
+def test_engine_tolerance_defaults_come_from_one_table():
+    import inspect
+
+    engines = {"ward": kz.ward_residuals, "kz-m2": kz.kz_residual_m2,
+               "kz-m1": kz.kz_residual_m1_l1, "bpz": kz.bpz_residual,
+               "kz-j0": kz.kz_specialized_j0_residual,
+               "kz-decoupled": kz.kz_decoupled_residual}
+    assert set(engines) == set(kz.DEFAULT_TOLERANCES)
+    for op, fn in engines.items():
+        default = inspect.signature(fn).parameters["tolerance"].default
+        assert default == kz.DEFAULT_TOLERANCES[op], op
+    m1 = inspect.signature(kz.kz_specialized_m1_residual).parameters["tolerance"].default
+    assert m1 == kz.DEFAULT_TOLERANCES["kz-m1"]
+
+
+def test_relative_gap_scale():
+    from ghostcft.scalars import relative_gap
+
+    assert relative_gap(0.25) == 0.25
+    assert relative_gap(-0.25, 0.5, 0.1j) == 0.25
+    assert relative_gap(3.0, 10.0, -20.0) == 3.0 / 20.0
+    assert relative_gap(Fraction(1, 2), Fraction(4)) == Fraction(1, 8)

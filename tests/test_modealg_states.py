@@ -30,6 +30,7 @@ from ghostcft.modealg import (
     kac_locus_check,
     localized_twist,
 )
+from ghostcft.modealg import checks, states
 from ghostcft.modealg.jl import apply_singlet, apply_virasoro, apply_current
 from ghostcft.modealg.localized import (
     charge_zero_mode_localized,
@@ -119,6 +120,38 @@ def test_singlet_commutes_with_current(level_basis):
 
 def test_ghost_mode_weights_under_virasoro(level_basis):
     assert check_mode_commutators_under_L(level_basis[:4], range(-2, 3))
+
+
+_J, _L = act_current, act_virasoro
+_PERTURBATIONS = {
+    "J*2": ("act_current", lambda s, n: _J(s, n).scale(2)),
+    "L+J": ("act_virasoro", lambda s, n: _L(s, n) + _J(s, n)),
+}
+_CHECKS = {
+    "jj": lambda sts, w: checks.check_jj_commutators(sts, w),
+    "lj": lambda sts, w: checks.check_lj_commutators(sts, w),
+    "virasoro-c2": lambda sts, w: checks.check_virasoro(sts, 2, checks.act_virasoro, w),
+    "singlet-cm2": lambda sts, w: checks.check_virasoro(sts, -2, checks.act_singlet, w),
+    "singlet-current": lambda sts, w: checks.check_singlet_commutes_with_current(sts, w),
+    "ghost-under-L": lambda sts, w: checks.check_mode_commutators_under_L(sts, w),
+}
+
+
+@pytest.mark.parametrize("check, perturbation", [
+    ("jj", "J*2"), ("lj", "J*2"), ("lj", "L+J"), ("virasoro-c2", "L+J"),
+    ("singlet-cm2", "J*2"), ("singlet-cm2", "L+J"), ("singlet-current", "L+J"),
+    ("ghost-under-L", "L+J"),
+])
+def test_checks_fail_on_perturbed_action(monkeypatch, check, perturbation):
+    """Each bracket check holds on the true actions and fails once J is
+    doubled or L is replaced by L + J (in every module that acts with it)."""
+    sts = basis_states(Fraction(1, 3), 0, max_level=2, max_factors=2)[:3]
+    window = range(-2, 3)
+    assert _CHECKS[check](sts, window)
+    name, action = _PERTURBATIONS[perturbation]
+    for module in (states, checks):
+        monkeypatch.setattr(module, name, action)
+    assert _CHECKS[check](sts, window) is False
 
 
 def test_commutators_on_flowed_basis():
