@@ -64,10 +64,7 @@ class PowerSum(LinComb):
         return PowerSum(out)
 
     def eval(self, eta: Scalar) -> Scalar:
-        if is_exact(eta):
-            one_minus = Fraction(1) - as_fraction(eta)
-        else:
-            one_minus = 1 - to_complex(eta)
+        one_minus = 1 - eta
         total: Scalar = 0
         for (p, q), c in self.terms.items():
             total = total + c * cpow(eta, p) * cpow(one_minus, q)
@@ -81,10 +78,9 @@ class PowerSum(LinComb):
             if q != base_q:
                 raise ValueError("terms do not share the (1-eta) exponent")
             k = p - base_p
-            kf = as_fraction(k) if is_exact(k) else k
-            if not (is_exact(k) and as_fraction(k).denominator == 1 and kf >= 0):
+            if not (is_exact(k) and k >= 0 and as_fraction(k).denominator == 1):
                 raise ValueError("term exponent is not base_p + integer")
-            coeffs[int(kf)] = c
+            coeffs[int(k)] = c
         deg = max(coeffs) if coeffs else 0
         return [coeffs.get(k, Fraction(0)) for k in range(deg + 1)]
 

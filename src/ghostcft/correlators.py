@@ -29,7 +29,6 @@ from .errors import (
 )
 from .scalars import (
     Scalar,
-    all_exact,
     as_fraction,
     cpow,
     is_exact,
@@ -57,8 +56,7 @@ class GhostPrimary:
 
     @property
     def weight(self) -> Scalar:
-        half_f = HALF if is_exact(self.j) else 0.5
-        return self.j * self.ell - half_f * self.ell * (self.ell + 1)
+        return self.j * self.ell - self.ell * (self.ell + 1) // 2
 
     @property
     def j0_charge(self) -> Scalar:
@@ -145,10 +143,9 @@ def two_point(p1: GhostPrimary, p2: GhostPrimary, w1: Scalar, w2: Scalar,
 
 
 def three_point_exponents(j1, j2, j3, ell: int):
-    half_f = HALF if all_exact(j1, j2, j3) else 0.5
-    e12 = (j3 - half_f * ell) * (ell - 1)
-    e13 = -j2 - (j3 - half_f * (ell + 1)) * ell
-    e23 = -j1 - (j3 - half_f * (ell + 1)) * ell
+    e12 = (j3 - HALF * ell) * (ell - 1)
+    e13 = -j2 - (j3 - HALF * (ell + 1)) * ell
+    e23 = -j1 - (j3 - HALF * (ell + 1)) * ell
     return e12, e13, e23
 
 
@@ -197,11 +194,10 @@ def fourpoint_blocksums(ell: int, j1, j2, j4) -> Tuple[BlockSum, BlockSum]:
                 1, 0.5, 0, -to_complex(j4) + 0.5, -to_complex(j2) + 0.5),
         )
     if ell == 2:
-        one = Fraction(1) if all_exact(j1, j2, j4) else 1.0
         (a1, b1, c1), (a2, b2, c2) = blocks_l2_params(j1, j2, j4)
         # the second block's eta exponent -j4 + 3/2 is its lower parameter c2
-        return (BlockSum.hyp2f1(one, one, 0, a1, b1, c1),
-                BlockSum.hyp2f1(one, c2, 0, a2, b2, c2))
+        return (BlockSum.hyp2f1(1, 1, 0, a1, b1, c1),
+                BlockSum.hyp2f1(1, c2, 0, a2, b2, c2))
     if ell == 3:
         j2c, j4c = to_complex(j2), to_complex(j4)
         p, q = -j4c + 2, -j2c + 0.5
@@ -218,11 +214,9 @@ def blocks_l1(j2, j4, eta) -> Tuple[Scalar, Scalar]:
 
 
 def blocks_l2_params(j1, j2, j4):
-    one = Fraction(1) if all_exact(j1, j2, j4) else 1.0
-    half_f = HALF if all_exact(j1, j2, j4) else 0.5
     return (
-        (-j1 + one, half_f, j4 + half_f),
-        (j2, -j4 + one, -j4 + one + half_f),
+        (-j1 + 1, HALF, j4 + HALF),
+        (j2, -j4 + 1, -j4 + 1 + HALF),
     )
 
 
@@ -248,9 +242,7 @@ def block_l3(j1, j2, j4, eta, constant: Scalar = 1) -> Scalar:
 
 
 def block_l3_powersum(j1, j2, j4, constant: Scalar = 1) -> PowerSum:
-    one = Fraction(1) if all_exact(j1, j2, j4, constant) else 1.0
-    half_f = HALF if all_exact(j1, j2, j4, constant) else 0.5
-    return PowerSum.single(constant * one, -j4 + 2 * one, -j2 + half_f)
+    return PowerSum.single(constant, -j4 + 2, -j2 + HALF)
 
 
 def block_l3_general(j1, j2, j4, eta, alpha1: Scalar, alpha2: Scalar) -> Scalar:
@@ -442,20 +434,16 @@ def _poly_Pk_parts(k: int, j1, j4) -> Tuple[Scalar, PowerSum]:
     sum cancels, so poly_Pk applies the prefactor once, after summing."""
     if k < 0:
         raise ValueError("k must be a non-negative integer")
-    exact = all_exact(j1, j4)
-    three_half = Fraction(3, 2) if exact else 1.5
-    pref = Fraction((-1) ** k * 2**k, double_factorial_odd(k)) if exact else (
-        (-1) ** k * 2**k / double_factorial_odd(k)
-    )
+    pref = Fraction((-1) ** k * 2**k, double_factorial_odd(k))
     terms = {}
     binom = 1
     for i in range(k + 1):
         coeff = (
             binom
-            * specfun.pochhammer(-j1 + three_half, i)
+            * specfun.pochhammer(-j1 + Fraction(3, 2), i)
             * specfun.pochhammer(j4 - k, k - i)
         )
-        terms[(i if not exact else Fraction(i), Fraction(0) if exact else 0)] = coeff
+        terms[(i, 0)] = coeff
         binom = binom * (k - i) // (i + 1)
     return pref, PowerSum(terms)
 
@@ -463,11 +451,8 @@ def _poly_Pk_parts(k: int, j1, j4) -> Tuple[Scalar, PowerSum]:
 def poly_Pk_hypergeometric(k: int, j1, j4, eta) -> Scalar:
     """The same polynomial as a terminating 2F1:
     [(-j4+1)_k / (1/2)_k] 2F1(-j1+3/2, -k; -j4+1; eta)."""
-    exact = all_exact(j1, j4, eta)
-    one = Fraction(1) if exact else 1.0
-    half_f = HALF if exact else 0.5
-    pref = specfun.pochhammer(-j4 + one, k) / specfun.pochhammer(half_f, k)
-    return pref * specfun.hyp2f1(-j1 + one + half_f, -k * one, -j4 + one, eta)
+    pref = specfun.pochhammer(-j4 + 1, k) / specfun.pochhammer(HALF, k)
+    return pref * specfun.hyp2f1(-j1 + 1 + HALF, -k, -j4 + 1, eta)
 
 
 def l3_constant_must_vanish(j1, j3, j4) -> bool:
@@ -582,6 +567,8 @@ def conj_blocks_l2(j1, j2, j3, j4, eta) -> Tuple[complex, complex]:
 _PAIRS4 = ((1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4))
 # eta = w12 w34 / (w13 w24) as a product of pairwise powers
 _ETA_EXPONENTS = {(1, 2): 1, (3, 4): 1, (1, 3): -1, (2, 4): -1}
+# the BlockSum key of a constant term
+_CONSTANT_KEY = (0, 0, "pow", ())
 
 
 def ward_exponents(charges: Sequence[Scalar], weights: Sequence[Scalar]):
@@ -600,15 +587,13 @@ def ward_exponents(charges: Sequence[Scalar], weights: Sequence[Scalar]):
             (2, 3): h1 - h2 - h3 - q1,
         }
     if n == 4:
-        third = Fraction(1, 3) if all_exact(*weights) else (1.0 / 3.0)
-        half_f = HALF if all_exact(*charges) else 0.5
-        h = third * sum(weights)
+        h = Fraction(1, 3) * sum(weights)
         out = {}
         for (a, b) in _PAIRS4:
             out[(a, b)] = (
                 h
                 - (weights[a - 1] + weights[b - 1])
-                + half_f * (charges[a - 1] + charges[b - 1])
+                + HALF * (charges[a - 1] + charges[b - 1])
             )
         return out
     raise UnsupportedShape(f"closed Ward frames cover N <= 4, got N = {n}")
@@ -635,11 +620,9 @@ class WardForm:
         self._h2 = self._h1.deriv()
         if self.n < 4:
             # no cross ratio: H must be a constant, frozen here
-            self._const = self.h.value(0.3137)
-            if abs(self.h.value(0.7211) - self._const) > 1e-12 * (
-                1 + abs(self._const)
-            ):
+            if any(key != _CONSTANT_KEY for key in self.h.terms):
                 raise UnsupportedShape("N < 4 Ward forms take a constant H only")
+            self._const = to_complex(self.h.terms.get(_CONSTANT_KEY, 0))
 
     # -- helpers ----------------------------------------------------------
     @staticmethod
@@ -729,8 +712,7 @@ def standard_frame_data(*charges_and_ell):
     if not 2 <= len(js) <= 4:
         raise UnsupportedShape(f"the standard frame covers N in {{2, 3, 4}}, got N = {len(js)}")
     last = GhostPrimary(js[-1], ell)
-    zero = Fraction(0) if all_exact(*js) else 0.0
-    return [*js[:-1], last.j0_charge], [zero] * (len(js) - 1) + [last.weight]
+    return [*js[:-1], last.j0_charge], [0] * (len(js) - 1) + [last.weight]
 
 
 def specialized_prefactor_exponents(j1, j2, j3, j4, ell: int):

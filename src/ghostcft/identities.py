@@ -14,14 +14,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Tuple
 
 from . import specfun
 from .correlators import recursed_l2_terms
 from .scalars import Scalar, cpow, relative_gap, to_complex
-
-HALF = Fraction(1, 2)
 
 
 @dataclass(frozen=True)

@@ -19,6 +19,7 @@ shifted correlators; it is what reproduces every higher-flow closed form).
 from __future__ import annotations
 
 import json
+import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -33,9 +34,7 @@ from .correlators import (
     ward_exponents,
 )
 from .errors import ChargeError, DivisionByZeroCharge, MissingCompanion
-from .scalars import Scalar, all_exact, as_fraction, cpow, is_exact, relative_gap, to_complex
-
-HALF = Fraction(1, 2)
+from .scalars import Scalar, all_exact, as_fraction, cpow, relative_gap, to_complex
 
 # Deterministic cross-ratio samples used by every residual sweep.
 DEFAULT_ETA_POINTS: Tuple[complex, ...] = (
@@ -75,9 +74,10 @@ class ResidualReport:
     tolerance: Optional[float] = None
 
     def add(self, where: dict, residual: float) -> None:
-        """Record one sample (where it was taken, then its residual)."""
+        """Record one sample (where it was taken, then its residual); a
+        non-finite residual makes max_abs infinite, so the report fails."""
         self.samples.append({**where, "residual": residual})
-        self.max_abs = max(self.max_abs, residual)
+        self.max_abs = max(self.max_abs, residual if math.isfinite(residual) else math.inf)
 
     @property
     def passes(self) -> Optional[bool]:
@@ -233,6 +233,9 @@ class ThreePointFamily:
         j1, j2, j3 = charges
         if self.ell == 1:
             return self.constant
+        name, divisor = ("j1", j1) if i == 1 else ("j2", j2)
+        if divisor == 0:
+            raise DivisionByZeroCharge(f"the shifted constant divides by {name} = 0")
         if i == 1:
             return (j3 - 1) * self.constant / j1
         return -(j3 - 1) * self.constant / j2
@@ -537,7 +540,7 @@ def recursion_step(block: Block, charges, ell: int, companion=AUTO) -> Block:
     """
     j1, j2, j3, j4 = charges
     exact = all_exact(j1, j2, j3, j4) and block.is_exact()
-    if (is_exact(j3) and j3 == 0) or (not is_exact(j3) and to_complex(j3) == 0):
+    if j3 == 0:
         raise DivisionByZeroCharge("the shifted charge j3 must be non-zero")
     if companion is None:
         raise MissingCompanion(
@@ -575,7 +578,6 @@ def recursion_iterate(block: Block, charges, ell: int, k: int) -> Block:
         raise ValueError("k must be non-negative")
     j1, j2, j3, j4 = charges
     current = block
-    one = Fraction(1) if all_exact(j1, j2, j3, j4) else 1
     for t in range(k):
-        current = recursion_step(current, (j1, j2, j3 + t * one, j4 - t * one), ell)
+        current = recursion_step(current, (j1, j2, j3 + t, j4 - t), ell)
     return current

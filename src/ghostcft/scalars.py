@@ -13,6 +13,8 @@ import math
 from fractions import Fraction
 from typing import Union
 
+from .errors import ParamError
+
 Scalar = Union[int, Fraction, float, complex]
 
 _EXACT_TYPES = (int, Fraction)
@@ -39,7 +41,9 @@ def as_fraction(x: Scalar) -> Fraction:
 
 
 def to_complex(x: Scalar) -> complex:
-    if type(x) is float or type(x) is complex:
+    # an int (an exact constant) also skips the isinstance test against the
+    # Fraction ABC
+    if type(x) is float or type(x) is complex or type(x) is int:
         return complex(x)
     if isinstance(x, Fraction):
         return complex(x.numerator / x.denominator)
@@ -106,7 +110,10 @@ def cpow(w: Scalar, p: Scalar) -> Scalar:
         if pc == 0:
             return 1 + 0j
         raise ZeroDivisionError("0 ** nonpositive power")
-    return cmath.exp(pc * cmath.log(wc))
+    try:
+        return cmath.exp(pc * cmath.log(wc))
+    except OverflowError:
+        raise ParamError(f"w ** p overflows double precision at w = {w}, p = {p}") from None
 
 
 def relative_gap(residual: Scalar, *magnitudes: Scalar) -> float:

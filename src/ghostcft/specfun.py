@@ -38,11 +38,6 @@ from .scalars import (
 
 SERIES_RTOL = 1e-16
 SERIES_MAX_TERMS = 100_000
-# Parameter offset for the degenerate (integer c-a-b) limit mode.  A
-# three-point Richardson at this offset keeps both the truncation and the
-# cancellation noise near 1e-10; smaller offsets are noise-dominated in
-# double precision.
-EPS_DEGENERATE = 3e-4
 
 # Lanczos approximation, g = 607/128, 15 coefficients (Godfrey's set).
 _LANCZOS_G = 607.0 / 128.0
@@ -103,17 +98,11 @@ def pochhammer(a: Scalar, n: int) -> Scalar:
     """Rising factorial (a)_n = a (a+1) ... (a+n-1); exact for exact a."""
     if n < 0:
         raise ValueError("pochhammer order must be non-negative")
-    if is_exact(a):
-        out = Fraction(1)
-        af = as_fraction(a)
-        for t in range(n):
-            out *= af + t
-        return out
-    out_c: complex = 1.0 + 0j
-    ac = to_complex(a)
+    num = as_fraction if is_exact(a) else to_complex
+    out, a = num(1), num(a)
     for t in range(n):
-        out_c *= ac + t
-    return out_c
+        out *= a + t
+    return out
 
 
 @dataclass(frozen=True)
@@ -183,28 +172,18 @@ class Hyp3F2Params:
 def _series_2f1(a: Scalar, b: Scalar, c: Scalar, z: Scalar, max_terms=SERIES_MAX_TERMS):
     """Direct power series; exact when all inputs are exact and terminating."""
     nterm = Hyp2F1Params(a, b, c).terminating_order()
-    if nterm is not None and all_exact(a, b, c, z):
-        af, bf, cf, zf = map(as_fraction, (a, b, c, z))
-        total = Fraction(0)
-        term = Fraction(1)
-        for n in range(nterm + 1):
-            total += term
-            if n < nterm:
-                term *= (af + n) * (bf + n) * zf
-                term /= (cf + n) * (n + 1)
-        return total
-    ac, bc, cc, zc = map(to_complex, (a, b, c, z))
-    total = 0j
-    term = 1 + 0j
+    num = as_fraction if nterm is not None and all_exact(a, b, c, z) else to_complex
+    a, b, c, x = map(num, (a, b, c, z))
+    total, term = num(0), num(1)
     if nterm is not None:
         for n in range(nterm + 1):
             total += term
             if n < nterm:
-                term *= (ac + n) * (bc + n) * zc / ((cc + n) * (n + 1))
+                term *= (a + n) * (b + n) * x / ((c + n) * (n + 1))
         return total
     for n in range(max_terms):
         total += term
-        term *= (ac + n) * (bc + n) * zc / ((cc + n) * (n + 1))
+        term *= (a + n) * (b + n) * x / ((c + n) * (n + 1))
         if abs(term) <= SERIES_RTOL * max(abs(total), 1e-300):
             return total + term
     raise ConvergenceError(
@@ -229,8 +208,8 @@ def connection_coeffs_01(p: Hyp2F1Params):
     a, b, c = p.a, p.b, p.c
     if integer_difference(to_complex(c) - to_complex(a) - to_complex(b), 0) is not None:
         raise DegenerateError(
-            f"c-a-b = {to_complex(c)-to_complex(a)-to_complex(b)} is an integer; "
-            "use the eps-regularized mode"
+            f"c-a-b = {to_complex(c)-to_complex(a)-to_complex(b)} is an integer: "
+            "the 0->1 connection is logarithmic there"
         )
     ca = to_complex(c) - to_complex(a)
     cb = to_complex(c) - to_complex(b)
@@ -295,38 +274,22 @@ def _hyp2f1_impl(a, b, c, z, depth=0):
     raise ConvergenceError(f"z = {z} outside the supported continuation region")
 
 
-def hyp2f1(a: Scalar, b: Scalar, c: Scalar, z: Scalar, *, degenerate: str = "strict"):
+def hyp2f1(a: Scalar, b: Scalar, c: Scalar, z: Scalar):
     """Gauss hypergeometric function on the principal branch.
 
-    degenerate: 'strict' raises DegenerateError when the 0->1 connection hits
-    integer c-a-b; 'eps' evaluates a two-point Richardson limit in a
-    parameter offset instead.
+    Raises DegenerateError when the 0->1 connection hits integer c-a-b.
     """
-    try:
-        return _hyp2f1_impl(a, b, c, z)
-    except DegenerateError:
-        if degenerate != "eps":
-            raise
-        ac = to_complex(a)
-        eps = EPS_DEGENERATE
-        f = lambda e: _hyp2f1_impl(ac + e, b, c, z)
-        return (f(2 * eps) - 6.0 * f(eps) + 8.0 * f(eps / 2.0)) / 3.0
+    return _hyp2f1_impl(a, b, c, z)
 
 
-def hyp2f1_deriv(a: Scalar, b: Scalar, c: Scalar, z: Scalar, order: int = 1, **kw):
+def hyp2f1_deriv(a: Scalar, b: Scalar, c: Scalar, z: Scalar, order: int = 1):
     """d^n/dz^n 2F1 = ((a)_n (b)_n / (c)_n) 2F1(a+n, b+n; c+n; z)."""
     if order < 0:
         raise ValueError("order must be non-negative")
     if order == 0:
-        return hyp2f1(a, b, c, z, **kw)
+        return hyp2f1(a, b, c, z)
     pref = pochhammer(a, order) * pochhammer(b, order) / pochhammer(c, order)
-    ac, bc, cc = map(to_complex, (a, b, c))
-    if all_exact(a, b, c):
-        shifted = hyp2f1(as_fraction(a) + order, as_fraction(b) + order,
-                         as_fraction(c) + order, z, **kw)
-    else:
-        shifted = hyp2f1(ac + order, bc + order, cc + order, z, **kw)
-    return pref * shifted
+    return pref * hyp2f1(a + order, b + order, c + order, z)
 
 
 def hyp2f1_regularized(a: Scalar, b: Scalar, c: Scalar, z: Scalar) -> complex:
@@ -372,29 +335,19 @@ def hyp2f1_log_pair(a: Scalar, b: Scalar, z: Scalar, max_terms=SERIES_MAX_TERMS)
 def _series_3f2(p: Hyp3F2Params, z: Scalar, max_terms=SERIES_MAX_TERMS):
     nterm = p.terminating_order()
     vals = (*p.uppers, *p.lowers, z)
-    if nterm is not None and all_exact(*vals):
-        a1, a2, a3, b1, b2, zf = map(as_fraction, vals)
-        total = Fraction(0)
-        term = Fraction(1)
-        for n in range(nterm + 1):
-            total += term
-            if n < nterm:
-                term *= (a1 + n) * (a2 + n) * (a3 + n) * zf
-                term /= (b1 + n) * (b2 + n) * (n + 1)
-        return total
-    a1, a2, a3, b1, b2, zc = map(to_complex, vals)
-    total = 0j
-    term = 1 + 0j
+    num = as_fraction if nterm is not None and all_exact(*vals) else to_complex
+    a1, a2, a3, b1, b2, x = map(num, vals)
+    total, term = num(0), num(1)
     if nterm is not None:
         for n in range(nterm + 1):
             total += term
             if n < nterm:
-                term *= (a1 + n) * (a2 + n) * (a3 + n) * zc
+                term *= (a1 + n) * (a2 + n) * (a3 + n) * x
                 term /= (b1 + n) * (b2 + n) * (n + 1)
         return total
     for n in range(max_terms):
         total += term
-        term *= (a1 + n) * (a2 + n) * (a3 + n) * zc / ((b1 + n) * (b2 + n) * (n + 1))
+        term *= (a1 + n) * (a2 + n) * (a3 + n) * x / ((b1 + n) * (b2 + n) * (n + 1))
         if abs(term) <= SERIES_RTOL * max(abs(total), 1e-300):
             return total + term
     raise ConvergenceError(
@@ -505,6 +458,5 @@ def beta_incomplete(a: Scalar, b: Scalar, z: Scalar):
     """B(a, b; z) = (z^a / a) 2F1(a, 1-b; a+1; z)."""
     if is_nonpositive_integer(a):
         raise ParamError(f"incomplete beta needs a not in -N0, got a = {a}")
-    one = Fraction(1) if all_exact(a, b) else 1.0
-    f = hyp2f1(a, one - b, a + one, z)
+    f = hyp2f1(a, 1 - b, a + 1, z)
     return cpow(z, a) / a * f

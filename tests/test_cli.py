@@ -197,10 +197,26 @@ def test_configuration_error_exit_code(capsys):
     ["eval", "--op", "monodromy-ratio", "--ell", "2", "--charges=180.3,0.4,0.5,-179.2"],
     ["residual", "--op", "bpz", "--ell", "4", "--charges=0.3,0.4,1/2,2.8"],
     ["recurse", "--ell", "4", "--charges=0.3,0.4,0.5,-0.2", "--k", "1"],
+    # a power that overflows a double, and a companion constant over j2 = 0
+    ["residual", "--op", "ward", "--ell", "1", "--charges", "400,-399"],
+    ["residual", "--op", "kz-m2", "--ell", "2", "--charges", "2.645,0/5,1"],
 ])
 def test_bad_input_exit_code(capsys, argv):
     assert main(argv) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_nan_residual_fails_its_report(capsys):
+    # at one sample the product of the Ward prefactor's powers overflows to
+    # inf and the residual is NaN; the report must fail, not pass
+    code, out = run(capsys, "residual", "--op", "ward", "--ell", "2",
+                    "--charges=1/2,-0.157,2.091,-210.6753253402907")
+    reports = {rep["operator"]: rep for rep in json.loads(out)}
+    residuals = [s["residual"] for s in reports["L-1"]["samples"]]
+    assert any(r != r for r in residuals)
+    assert reports["L-1"]["pass"] is False
+    assert reports["L-1"]["max_residual"] == float("inf")
+    assert code == 1
 
 
 def test_programming_error_propagates(monkeypatch):

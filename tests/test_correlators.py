@@ -116,6 +116,15 @@ def test_three_point_ward_residuals():
     assert max(rep.max_abs for rep in reports.values()) < 1e-12
 
 
+def test_ward_form_below_four_points_takes_a_constant_h_only():
+    charges, weights = co.standard_frame_data(0.3, 0.45, 1.25, 2)
+    with pytest.raises(UnsupportedShape):
+        co.WardForm(charges, weights, BlockSum.power(1, 0.5, 0))
+    ws = [3.0, 1.5, 0.2]
+    form = co.WardForm(charges, weights, BlockSum.constant(Fraction(3, 2)))
+    assert form.value(ws) == 1.5 * co.WardForm(charges, weights).value(ws)
+
+
 # ----------------------------------------------------------------------
 # block families
 # ----------------------------------------------------------------------

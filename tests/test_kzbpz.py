@@ -129,6 +129,21 @@ def test_kz_m1_m2_ward_consistency():
     assert max(m1, m2, trans) < 1e-9
 
 
+def test_non_finite_residual_fails():
+    rep = kz.kz_decoupled_residual(PowerSum.single(1, Fraction(27, 100)), float("nan"))
+    assert len(rep.samples) == len(kz.DEFAULT_ETA_POINTS)
+    assert rep.max_abs == float("inf")
+    assert rep.passes is False
+
+
+def test_shifted_constant_refuses_zero_charge():
+    fam = kz.ThreePointFamily(2)
+    with pytest.raises(DivisionByZeroCharge):
+        fam.shifted_constant(1, (0, Fraction(1, 2), Fraction(3, 2)))
+    with pytest.raises(DivisionByZeroCharge):
+        fam.shifted_constant(2, (2.645, 0.0, -0.645))
+
+
 def test_missing_companion_surfaces():
     fam = kz.ThreePointFamily(2)
     with pytest.raises(MissingCompanion):
