@@ -7,9 +7,11 @@ whose like terms merge as a sum is built:
   rational (or numeric) coefficients and exponents, keyed by (p, q).  Closed
   under d/deta and under multiplication by eta^a (1-eta)^b, which is what
   the charge-shift recursion needs to run in exact rational arithmetic.
-  ``canonical()`` picks the unique representative of an exact sum; the
-  exact recursion applies it after every step, so it carries only the terms
-  of the closed form at any depth.
+  ``canonical()`` picks the unique representative of an exact sum: it splits
+  the sum into exponent classes, each eta^P (1-eta)^Q times a polynomial
+  (``classes()``), and reduces each class (``from_classes()``).  The exact
+  recursion steps the polynomial of each class and reduces it the same way,
+  so it carries only the terms of the closed form at any depth.
 
 * BlockSum -- a sum of c * eta^p (1-eta)^q * payload(eta), keyed by
   (p, q, kind, params), where each payload is one of {1, 2F1(a,b;c;eta),
@@ -89,17 +91,16 @@ class PowerSum(LinComb):
             all_exact(p, q, c) for (p, q), c in self.terms.items()
         )
 
-    def canonical(self) -> "PowerSum":
-        """Unique normal form for exact sums.
+    def classes(self) -> list:
+        """The exact sum split by exponent class (p mod 1, q mod 1), in order
+        of first appearance.
 
         The monomials eta^p (1-eta)^q are overcomplete across integer
-        exponent shifts.  Within each class (p mod 1, q mod 1) every term is
-        first brought to the class-minimal q by expanding surplus (1-eta)
-        powers; any remaining polynomial factor of (1-eta) is then divided
-        back out, leaving the unique representative whose eta-polynomial
-        does not vanish at eta = 1."""
-        if not self.is_exact():
-            raise ValueError("canonical form is defined for exact sums")
+        exponent shifts.  Within a class every term is brought to the
+        class-minimal q by expanding surplus (1-eta) powers, so the class is
+        eta^P (1-eta)^Q sum_k a_k eta^k with a_0 != 0; it is returned as
+        (p_frac, q_frac, p0, q0, [a_0, a_1, ...]) with P = p_frac + p0 and
+        Q = q_frac + q0.  A class whose terms cancel is left out."""
         # split each exponent once: the class is keyed by the fractional
         # parts, and the loops below work on int offsets alone
         groups: dict = {}
@@ -109,7 +110,7 @@ class PowerSum(LinComb):
             q_int = qf.numerator // qf.denominator
             groups.setdefault((pf - p_int, qf - q_int), []).append(
                 (p_int, q_int, as_fraction(c)))
-        out: dict = {}
+        out = []
         for (p_frac, q_frac), entries in groups.items():
             q_min = min(q for _p, q, _c in entries)
             flat: dict = {}
@@ -120,12 +121,27 @@ class PowerSum(LinComb):
                     flat[p + i] = get(p + i, 0) + c * comb(m, i)
                     c = -c
             flat = {p: c for p, c in flat.items() if c != 0}
-            if not flat:
-                continue
-            # extract the eta-polynomial relative to the minimal power and
-            # divide out every (1-eta) factor
-            p0 = min(flat)
-            coeffs = [flat.get(p, 0) for p in range(p0, max(flat) + 1)]
+            if flat:
+                p0 = min(flat)
+                coeffs = [flat.get(p, 0) for p in range(p0, max(flat) + 1)]
+                out.append((p_frac, q_frac, p0, q_min, coeffs))
+        return out
+
+    @classmethod
+    def from_classes(cls, classes) -> "PowerSum":
+        """The canonical sum of classes given as by ``classes()``, each with
+        any polynomial [a_0, a_1, ...]: zero end coefficients are dropped and
+        every factor (1-eta) of the polynomial is divided out, leaving the
+        unique representative that vanishes at neither eta = 0 nor 1."""
+        out: dict = {}
+        for p_frac, q_frac, p0, q0, coeffs in classes:
+            lo, hi = 0, len(coeffs)
+            while lo < hi and coeffs[lo] == 0:
+                lo += 1
+            while hi > lo and coeffs[hi - 1] == 0:
+                hi -= 1
+            coeffs = coeffs[lo:hi]
+            p0 += lo
             while len(coeffs) > 1 and sum(coeffs) == 0:
                 acc = Fraction(0)
                 quotient = []
@@ -133,11 +149,18 @@ class PowerSum(LinComb):
                     acc += c
                     quotient.append(acc)
                 coeffs = quotient
-                q_min += 1
+                q0 += 1
             for k, c in enumerate(coeffs):
                 if c != 0:
-                    out[(p_frac + p0 + k, q_frac + q_min)] = c
-        return PowerSum(out)
+                    out[(p_frac + p0 + k, q_frac + q0)] = c
+        return cls(out)
+
+    def canonical(self) -> "PowerSum":
+        """Unique normal form for exact sums: ``classes()`` reduced by
+        ``from_classes()``."""
+        if not self.is_exact():
+            raise ValueError("canonical form is defined for exact sums")
+        return PowerSum.from_classes(self.classes())
 
     def equals(self, other: "PowerSum") -> bool:
         """Structural equality modulo the integer-shift redundancy."""

@@ -15,6 +15,7 @@ import io
 import json
 import os
 import random
+import re
 import sys
 import warnings
 from fractions import Fraction
@@ -460,9 +461,22 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+def _attach_charges(argv: Sequence[str]) -> List[str]:
+    """argv with "--charges -0.3,1.3" written as "--charges=-0.3,1.3":
+    argparse takes a value that starts with '-' for an option unless it is a
+    single negative number."""
+    out: List[str] = []
+    for tok in argv:
+        if out and out[-1] == "--charges" and re.match(r"-[\d.]", tok):
+            out[-1] = f"--charges={tok}"
+        else:
+            out.append(tok)
+    return out
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_charges(sys.argv[1:] if argv is None else argv))
     if args.tolerance is None:  # residual: the engine's own default
         args.tolerance = kz.DEFAULT_TOLERANCES[args.op]
     try:

@@ -12,6 +12,7 @@ field at infinity contracted against w^(2h-j).
 """
 from __future__ import annotations
 
+import cmath
 import math
 import warnings
 from dataclasses import dataclass
@@ -23,6 +24,7 @@ from .blocks import BlockSum, PowerSum, as_blocksum
 from .errors import (
     ChargeError,
     DegenerateError,
+    ParamError,
     PoleError,
     UnsupportedShape,
     VanishingConstantRequired,
@@ -633,6 +635,10 @@ class WardForm:
         out = 1 + 0j
         for (a, b), e in self.exponents.items():
             out *= cpow(ws[a - 1] - ws[b - 1], e)
+        # each power fits a double (cpow raises otherwise), their product may not
+        if not cmath.isfinite(out):
+            raise ParamError("the Ward prefactor prod (w_a - w_b)^e_ab overflows "
+                             f"double precision at w = {ws}")
         return out
 
     @staticmethod

@@ -15,6 +15,10 @@ j2-shift companion enters through the last term and, by the algebraic-KZ
 identification of the specialized shifted correlators, defaults to the input
 block itself (for flow 1 that identification is the displayed equality of
 shifted correlators; it is what reproduces every higher-flow closed form).
+
+On an exact PowerSum of one exponent class with that default companion, a
+step is a two-term recurrence on the class's eta-polynomial (see
+``recursion_step``); other inputs take the generic path through the sum algebra.
 """
 from __future__ import annotations
 
@@ -537,6 +541,15 @@ def recursion_step(block: Block, charges, ell: int, companion=AUTO) -> Block:
 
     An exact step on an exact PowerSum returns its canonical form, so an
     exact recursion carries only the terms of its closed form at any depth.
+    With the AUTO companion, a sum of one exponent class eta^P (1-eta)^Q
+    A(eta) (every block the package builds, and every step of it) steps
+    its coefficients and reduces the result, building no intermediate sum:
+    it becomes eta^(P+l) (1-eta)^Q B(eta) with
+
+        B_k = -(1/j3) [(b - P - k) a_k + (P + Q + a + j2 + k - 1) a_(k-1)],
+
+    a = h4l + j1 + (l-1) j2 and b = (l-1) j3.  Every other input takes the
+    generic path through the sum algebra.
     """
     j1, j2, j3, j4 = charges
     exact = all_exact(j1, j2, j3, j4) and block.is_exact()
@@ -556,6 +569,21 @@ def recursion_step(block: Block, charges, ell: int, companion=AUTO) -> Block:
         inv_j3 = 1.0 / j3
     a_coeff = GhostPrimary(j4, ell).weight + j1 + (ell - 1) * j2
     b_coeff = (ell - 1) * j3
+
+    if exact and companion is AUTO and isinstance(block, PowerSum):
+        classes = block.classes()
+        # several classes come out of the generic path in the order in which
+        # their intermediate terms survive cancellation; one has no order
+        if len(classes) <= 1:
+            stepped = []
+            for p_frac, q_frac, p0, q0, coeffs in classes:
+                p = p_frac + p0
+                down = b_coeff - p  # b - P - k = down - k
+                up = p + q_frac + q0 + a_coeff + j2 - 1  # P + Q + a + j2 + k - 1 = up + k
+                stepped.append((p_frac, q_frac, p0 + ell, q0, [
+                    -inv_j3 * ((down - k) * c + (up + k) * prev)
+                    for k, (c, prev) in enumerate(zip(coeffs + [0], [0] + coeffs))]))
+            return PowerSum.from_classes(stepped)
 
     d = block.deriv()
     t = d.mul_power(1) - d  # (eta - 1) G'

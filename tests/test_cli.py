@@ -172,7 +172,26 @@ def test_readme_commands(capsys):
     assert commands
     for argv in commands:
         assert main(argv) == 0, argv
-    capsys.readouterr()
+        out = capsys.readouterr().out
+        if out.startswith(("{", "[")):
+            json.loads(out, parse_constant=_refuse_constant)
+
+
+def _refuse_constant(name):
+    raise AssertionError(f"{name} is not valid JSON")
+
+
+@pytest.mark.parametrize("argv", [
+    ["recurse", "--ell", "1", "--charges", "-0.3,1.3,1/2,-1/2", "--k", "2"],
+    ["residual", "--op", "ward", "--ell", "1", "--charges", "-1/2,3/2"],
+    ["eval", "--op", "two-point", "--charges", "-.25,1.25"],
+])
+def test_negative_charges_need_no_equals_sign(capsys, argv):
+    i = argv.index("--charges")
+    joined = argv[:i] + [f"--charges={argv[i + 1]}"] + argv[i + 2:]
+    code, out = run(capsys, *argv)
+    assert code == 0
+    assert (code, out) == run(capsys, *joined)
 
 
 def test_usage_error_exit_code(capsys):
@@ -200,17 +219,24 @@ def test_configuration_error_exit_code(capsys):
     # a power that overflows a double, and a companion constant over j2 = 0
     ["residual", "--op", "ward", "--ell", "1", "--charges", "400,-399"],
     ["residual", "--op", "kz-m2", "--ell", "2", "--charges", "2.645,0/5,1"],
+    # powers that each fit a double, with a product that does not
+    ["residual", "--op", "ward", "--ell", "2", "--charges=1/2,-0.157,2.091,-210.6753253402907"],
 ])
 def test_bad_input_exit_code(capsys, argv):
     assert main(argv) == 2
-    assert capsys.readouterr().err.startswith("error: ")
+    out, err = capsys.readouterr()
+    assert err.startswith("error: ")
+    assert out == ""  # no partial report, so no NaN or Infinity on stdout
 
 
-def test_nan_residual_fails_its_report(capsys):
-    # at one sample the product of the Ward prefactor's powers overflows to
-    # inf and the residual is NaN; the report must fail, not pass
-    code, out = run(capsys, "residual", "--op", "ward", "--ell", "2",
-                    "--charges=1/2,-0.157,2.091,-210.6753253402907")
+def test_nan_residual_fails_its_report(capsys, monkeypatch):
+    # a NaN residual, planted through a prefactor that is NaN at every
+    # sample, must fail its report, not pass
+    from ghostcft.correlators import WardForm
+
+    monkeypatch.setattr(WardForm, "_prefactor", lambda self, ws: complex("nan"))
+    code, out = run(capsys, "residual", "--op", "ward", "--ell", "1",
+                    "--charges", "0.3,0.45,0.27,-0.02")
     reports = {rep["operator"]: rep for rep in json.loads(out)}
     residuals = [s["residual"] for s in reports["L-1"]["samples"]]
     assert any(r != r for r in residuals)

@@ -1,5 +1,6 @@
 """Residual engines and the charge-shift recursion."""
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -457,6 +458,116 @@ def test_recursion_guards():
         1, companion=blk,
     )
     assert explicit.equals(PowerSum.single(Fraction(1), Fraction(3, 2)))
+
+
+def _step_reference(block, charges, ell):
+    """The generic exact step followed by the canonical form, kept as the
+    oracle for the per-class step of recursion_step: every intermediate sum
+    is built, and canonical() orders the classes by first appearance in the
+    last one."""
+    j1, j2, j3, j4 = map(Fraction, charges)
+    inv_j3 = 1 / j3
+    a_coeff = co.GhostPrimary(j4, ell).weight + j1 + (ell - 1) * j2
+    b_coeff = (ell - 1) * j3
+    d = block.deriv()
+    t = d.mul_power(1) - d
+    t = t + block.scale(a_coeff)
+    if b_coeff != 0:
+        t = t + block.scale(b_coeff).mul_power(-1)
+    t = t.mul_power(ell + 1).scale(-inv_j3)
+    t = t - block.scale(j2 * inv_j3).mul_power(ell + 1)
+    groups: dict = {}
+    for (p, q), c in t.terms.items():
+        pf, qf = Fraction(p), Fraction(q)
+        p_int = pf.numerator // pf.denominator
+        q_int = qf.numerator // qf.denominator
+        groups.setdefault((pf - p_int, qf - q_int), []).append((p_int, q_int, Fraction(c)))
+    out: dict = {}
+    for (p_frac, q_frac), entries in groups.items():
+        q_min = min(q for _p, q, _c in entries)
+        flat: dict = {}
+        for p, q, c in entries:
+            m = q - q_min
+            for i in range(m + 1):
+                flat[p + i] = flat.get(p + i, 0) + c * comb(m, i)
+                c = -c
+        flat = {p: c for p, c in flat.items() if c != 0}
+        if not flat:
+            continue
+        p0 = min(flat)
+        coeffs = [flat.get(p, 0) for p in range(p0, max(flat) + 1)]
+        while len(coeffs) > 1 and sum(coeffs) == 0:
+            acc = Fraction(0)
+            quotient = []
+            for c in coeffs[:-1]:
+                acc += c
+                quotient.append(acc)
+            coeffs = quotient
+            q_min += 1
+        for k, c in enumerate(coeffs):
+            if c != 0:
+                out[(p_frac + p0 + k, q_frac + q_min)] = c
+    return PowerSum(out)
+
+
+def _random_step_input(rng):
+    """An exact sum of one to three exponent classes (mostly one), with int
+    or Fraction exponents, often written redundantly; sometimes empty."""
+    classes = [(Fraction(rng.randint(0, 5), 6), Fraction(rng.randint(0, 3), 4))
+               for _ in range(rng.choice((1, 1, 1, 2, 3)))]
+    terms = {}
+    for _ in range(rng.randint(0, 6)):
+        p_frac, q_frac = rng.choice(classes)
+        p, q = p_frac + rng.randint(-3, 3), q_frac + rng.randint(-2, 2)
+        if p.denominator == 1 and rng.random() < 0.5:
+            p = int(p)
+        if q.denominator == 1 and rng.random() < 0.5:
+            q = int(q)
+        terms[(p, q)] = terms.get((p, q), 0) + Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+    ps = PowerSum(terms)
+    if rng.random() < 0.3:  # the same sum with a (1-eta) factor written out
+        ps = ps.mul_power(0, -1) - ps.mul_power(1, -1)
+    return ps
+
+
+def _random_step_charges(rng):
+    def charge():
+        return Fraction(rng.randint(-30, 30), rng.choice((1, 2, 3, 4, 5, 10, 20)))
+
+    j3 = charge()
+    while j3 == 0:
+        j3 = charge()
+    return charge(), charge(), j3, charge()
+
+
+def test_recursion_step_matches_the_generic_step(rng):
+    third, quarter = Fraction(1, 3), Fraction(1, 4)
+    cases = [
+        (PowerSum.zero(), (third, quarter, half, quarter), 2),
+        # b = P: the leading coefficient B_0 vanishes
+        (PowerSum.single(Fraction(1), 0), (third, quarter, half, quarter), 1),
+        # b + Q + a + j2 = 0: B = (P/j3)(1-eta), a factor (1-eta) to divide out
+        (PowerSum.single(Fraction(1), third), (half, quarter, half, quarter), 1),
+        # the constant class comes first here but last in the generic result
+        (PowerSum({(0, 0): Fraction(1), (half, 0): Fraction(1)}),
+         (third, quarter, half, quarter), 1),
+        # the flow-3 probe block
+        (co.block_l3_powersum(third, quarter, 3 - third - quarter - half),
+         (third, quarter, half, 3 - third - quarter - half), 3),
+    ]
+    got_b0 = kz.recursion_step(*cases[1])
+    assert got_b0.terms == {(2, 0): Fraction(1, 3)}
+    assert kz.recursion_step(*cases[2]).terms == {(third + 1, 1): 2 * third}
+    for _ in range(300):
+        cases.append((_random_step_input(rng), _random_step_charges(rng), rng.randint(1, 3)))
+    n_classes = [len(block.classes()) for block, _c, _l in cases]
+    # the zero sum, one class (the per-class step) and several (the generic path)
+    assert n_classes.count(0) > 5 and n_classes.count(1) > 150 and max(n_classes) > 1
+    for block, charges, ell in cases:
+        got = kz.recursion_step(block, charges, ell)
+        want = _step_reference(block, charges, ell)
+        assert repr(list(got.terms.items())) == repr(list(want.terms.items())), (
+            block, charges, ell)
 
 
 def test_report_json_schema():
