@@ -9,9 +9,10 @@ whose like terms merge as a sum is built:
   the charge-shift recursion needs to run in exact rational arithmetic.
   ``canonical()`` picks the unique representative of an exact sum: it splits
   the sum into exponent classes, each eta^P (1-eta)^Q times a polynomial
-  (``classes()``), and reduces each class (``from_classes()``).  The exact
-  recursion steps the polynomial of each class and reduces it the same way,
-  so it carries only the terms of the closed form at any depth.
+  (``classes()``, sorted by class), and reduces each class
+  (``from_classes()``).  The exact recursion steps the polynomial of each
+  class and reduces it the same way, so it carries only the terms of the
+  closed form at any depth.
 
 * BlockSum -- a sum of c * eta^p (1-eta)^q * payload(eta), keyed by
   (p, q, kind, params), where each payload is one of {1, 2F1(a,b;c;eta),
@@ -92,8 +93,8 @@ class PowerSum(LinComb):
         )
 
     def classes(self) -> list:
-        """The exact sum split by exponent class (p mod 1, q mod 1), in order
-        of first appearance.
+        """The exact sum split by exponent class (p mod 1, q mod 1), sorted
+        by class, so the split does not depend on the order of the terms.
 
         The monomials eta^p (1-eta)^q are overcomplete across integer
         exponent shifts.  Within a class every term is brought to the
@@ -111,7 +112,7 @@ class PowerSum(LinComb):
             groups.setdefault((pf - p_int, qf - q_int), []).append(
                 (p_int, q_int, as_fraction(c)))
         out = []
-        for (p_frac, q_frac), entries in groups.items():
+        for (p_frac, q_frac), entries in sorted(groups.items()):
             q_min = min(q for _p, q, _c in entries)
             flat: dict = {}
             get = flat.get

@@ -199,6 +199,8 @@ def _bpz_reports(charges, ell, tolerance, seed):
 
 def cmd_residual(args) -> int:
     charges = _charges(args.charges)
+    if args.tolerance is None:  # the engine's own default
+        args.tolerance = kz.DEFAULT_TOLERANCES[args.op]
     if args.op == "ward":
         reports = _ward_reports(charges, args.ell, args.tolerance, args.seed)
     elif args.op == "kz-m2":
@@ -328,6 +330,8 @@ def cmd_identity_check(args) -> int:
 
 
 def cmd_scan(args) -> int:
+    if args.ell != 2:
+        raise ValueError(f"scan emits the flow-2 blocks; got --ell {args.ell}, need 2")
     charges = _charges(args.charges)
     j1, j2 = charges[:2]
     j4 = parse_charge(args.j4)
@@ -404,13 +408,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, charges=True):
-        if charges:
-            sp.add_argument("--charges", required=True,
-                            help="comma list; exact fractions like 3/4 allowed")
-        sp.add_argument("--ell", type=int, default=1)
-        sp.add_argument("--tolerance", type=float, default=1e-9)
-        sp.add_argument("--seed", type=int, default=42)
+    shared = {
+        "charges": dict(required=True, help="comma list; exact fractions like 3/4 allowed"),
+        "ell": dict(type=int, default=1),
+        "tolerance": dict(type=float, default=1e-9),
+        "seed": dict(type=int, default=42),
+    }
+
+    def common(sp, *flags):
+        """--output, plus the shared flags the subcommand reads."""
+        for flag in flags:
+            sp.add_argument(f"--{flag}", **shared[flag])
         sp.add_argument("--output", help="write result to this path (atomic)")
 
     sp = sub.add_parser("eval", help="evaluate a closed form")
@@ -422,40 +430,40 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--w1", type=float, default=2.0)
     sp.add_argument("--w2", type=float, default=1.0)
     sp.add_argument("--w3", type=float, default=0.0)
-    common(sp)
+    common(sp, "charges", "ell")
     sp.set_defaults(fn=cmd_eval)
 
     sp = sub.add_parser("residual", help="run a residual sweep")
     sp.add_argument("--op", required=True,
                     choices=("ward", "kz-m2", "kz-m1", "kz-j0", "kz-decoupled",
                              "bpz"))
-    common(sp)
+    common(sp, "charges", "ell", "tolerance", "seed")
     sp.set_defaults(fn=cmd_residual, tolerance=None)
 
     sp = sub.add_parser("recurse", help="iterate the charge-shift recursion")
     sp.add_argument("--k", type=int, required=True)
     sp.add_argument("--block", type=int, default=1, choices=(1, 2))
     sp.add_argument("--eta-grid", type=_eta_grid)
-    common(sp)
+    common(sp, "charges", "ell")
     sp.set_defaults(fn=cmd_recurse)
 
     sp = sub.add_parser("identity-check", help="verify the summation identity")
     sp.add_argument("--k", type=int, default=6)
     sp.add_argument("--draws", type=int, default=50)
-    common(sp, charges=False)
+    common(sp, "tolerance", "seed")
     sp.set_defaults(fn=cmd_identity_check)
 
     sp = sub.add_parser("scan", help="emit block values over an eta grid")
     sp.add_argument("--j4", required=True)
     sp.add_argument("--eta-grid", type=_eta_grid, required=True)
-    common(sp)
-    sp.set_defaults(fn=cmd_scan)
+    common(sp, "charges", "ell")
+    sp.set_defaults(fn=cmd_scan, ell=2)
 
     sp = sub.add_parser("modealg-verify", help="run the mode-algebra suite")
     sp.add_argument("--level", type=int, default=4)
     sp.add_argument("--states", type=int, default=5)
     sp.add_argument("--index-range", type=int, default=2)
-    common(sp, charges=False)
+    common(sp)
     sp.set_defaults(fn=cmd_modealg_verify)
 
     return p
@@ -477,8 +485,6 @@ def _attach_charges(argv: Sequence[str]) -> List[str]:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(_attach_charges(sys.argv[1:] if argv is None else argv))
-    if args.tolerance is None:  # residual: the engine's own default
-        args.tolerance = kz.DEFAULT_TOLERANCES[args.op]
     try:
         return args.fn(args)
     except (GhostCftError, ValueError) as exc:  # bad input; any other raise is a bug

@@ -12,13 +12,13 @@ w-space identity collapses to
 with h4l = j4 l - l(l+1)/2 the flowed weight of phi_{j4}^l.  The j1-shift
 companion of the w-space identity scales out at the infinite insertion; the
 j2-shift companion enters through the last term and, by the algebraic-KZ
-identification of the specialized shifted correlators, defaults to the input
-block itself (for flow 1 that identification is the displayed equality of
+identification of the specialized shifted correlators, is the input block
+itself (for flow 1 that identification is the displayed equality of
 shifted correlators; it is what reproduces every higher-flow closed form).
 
-On an exact PowerSum of one exponent class with that default companion, a
-step is a two-term recurrence on the class's eta-polynomial (see
-``recursion_step``); other inputs take the generic path through the sum algebra.
+On an exact PowerSum with exact charges, a step is a two-term recurrence on
+the eta-polynomial of each exponent class (see ``recursion_step``); a numeric
+sum or a BlockSum takes the generic path through the sum algebra.
 """
 from __future__ import annotations
 
@@ -526,41 +526,33 @@ def threept_shifted_constants(j1, j2, j3, ell: int, constant: Scalar = 1):
 # the charge-shift recursion
 # ----------------------------------------------------------------------
 
-AUTO = "auto"
-
 Block = Union[PowerSum, BlockSum]
 
 
-def recursion_step(block: Block, charges, ell: int, companion=AUTO) -> Block:
+def recursion_step(block: Block, charges, ell: int) -> Block:
     """One step of the specialized charge-shift algorithm:
     (j1, j2, j3, j4) -> (j1, j2, j3+1, j4-1).
 
-    companion: the specialized correlator at (j1, j2+1, j3, j4-1).  The
-    default AUTO uses the algebraic-KZ identification companion == block;
-    passing None insists on an explicit block and raises MissingCompanion.
+    The companion, the specialized correlator at (j1, j2+1, j3, j4-1), is
+    the block itself: the algebraic-KZ identification of the module
+    docstring.
 
-    An exact step on an exact PowerSum returns its canonical form, so an
-    exact recursion carries only the terms of its closed form at any depth.
-    With the AUTO companion, a sum of one exponent class eta^P (1-eta)^Q
-    A(eta) (every block the package builds, and every step of it) steps
-    its coefficients and reduces the result, building no intermediate sum:
-    it becomes eta^(P+l) (1-eta)^Q B(eta) with
+    On an exact PowerSum with exact charges a step returns the canonical
+    form, so an exact recursion carries only the terms of its closed form at
+    any depth.  It steps the coefficients of each exponent class
+    eta^P (1-eta)^Q A(eta) of ``PowerSum.classes()`` and reduces the result
+    with ``PowerSum.from_classes()``, building no intermediate sum: the class
+    becomes eta^(P+l) (1-eta)^Q B(eta) with
 
         B_k = -(1/j3) [(b - P - k) a_k + (P + Q + a + j2 + k - 1) a_(k-1)],
 
-    a = h4l + j1 + (l-1) j2 and b = (l-1) j3.  Every other input takes the
-    generic path through the sum algebra.
+    a = h4l + j1 + (l-1) j2 and b = (l-1) j3.  A numeric sum or a BlockSum
+    takes the generic path through the sum algebra.
     """
     j1, j2, j3, j4 = charges
     exact = all_exact(j1, j2, j3, j4) and block.is_exact()
     if j3 == 0:
         raise DivisionByZeroCharge("the shifted charge j3 must be non-zero")
-    if companion is None:
-        raise MissingCompanion(
-            "no companion supplied; pass companion=AUTO for the algebraic-KZ "
-            "identification or an explicit block"
-        )
-    comp = block if companion is AUTO else companion
     if exact:
         j1, j2, j3, j4 = map(as_fraction, (j1, j2, j3, j4))
         inv_j3 = Fraction(1) / j3
@@ -570,20 +562,16 @@ def recursion_step(block: Block, charges, ell: int, companion=AUTO) -> Block:
     a_coeff = GhostPrimary(j4, ell).weight + j1 + (ell - 1) * j2
     b_coeff = (ell - 1) * j3
 
-    if exact and companion is AUTO and isinstance(block, PowerSum):
-        classes = block.classes()
-        # several classes come out of the generic path in the order in which
-        # their intermediate terms survive cancellation; one has no order
-        if len(classes) <= 1:
-            stepped = []
-            for p_frac, q_frac, p0, q0, coeffs in classes:
-                p = p_frac + p0
-                down = b_coeff - p  # b - P - k = down - k
-                up = p + q_frac + q0 + a_coeff + j2 - 1  # P + Q + a + j2 + k - 1 = up + k
-                stepped.append((p_frac, q_frac, p0 + ell, q0, [
-                    -inv_j3 * ((down - k) * c + (up + k) * prev)
-                    for k, (c, prev) in enumerate(zip(coeffs + [0], [0] + coeffs))]))
-            return PowerSum.from_classes(stepped)
+    if exact and isinstance(block, PowerSum):
+        stepped = []
+        for p_frac, q_frac, p0, q0, coeffs in block.classes():
+            p = p_frac + p0
+            down = b_coeff - p  # b - P - k = down - k
+            up = p + q_frac + q0 + a_coeff + j2 - 1  # P + Q + a + j2 + k - 1 = up + k
+            stepped.append((p_frac, q_frac, p0 + ell, q0, [
+                -inv_j3 * ((down - k) * c + (up + k) * prev)
+                for k, (c, prev) in enumerate(zip(coeffs + [0], [0] + coeffs))]))
+        return PowerSum.from_classes(stepped)
 
     d = block.deriv()
     t = d.mul_power(1) - d  # (eta - 1) G'
@@ -591,10 +579,7 @@ def recursion_step(block: Block, charges, ell: int, companion=AUTO) -> Block:
     if b_coeff != 0:
         t = t + block.scale(b_coeff).mul_power(-1)
     t = t.mul_power(ell + 1).scale(-inv_j3)
-    t = t - comp.scale(j2 * inv_j3).mul_power(ell + 1)
-    if isinstance(t, PowerSum) and t.is_exact():
-        return t.canonical()
-    return t
+    return t - block.scale(j2 * inv_j3).mul_power(ell + 1)
 
 
 def recursion_iterate(block: Block, charges, ell: int, k: int) -> Block:

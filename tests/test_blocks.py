@@ -84,13 +84,14 @@ def test_powersum_canonical_kills_redundancy():
 
 def _canonical_reference(ps):
     """The straightforward normal form, kept as the oracle for canonical():
-    Fraction exponents throughout, binomials built by recurrence."""
+    Fraction exponents throughout, binomials built by recurrence, classes in
+    sorted order."""
     groups: dict = {}
     for (p, q), c in ps.terms.items():
         pf, qf = Fraction(p), Fraction(q)
         groups.setdefault((pf % 1, qf % 1), []).append((pf, qf, Fraction(c)))
     out: dict = {}
-    for entries in groups.values():
+    for _key, entries in sorted(groups.items()):
         q_min = min(q for _p, q, _c in entries)
         flat: dict = {}
         for p, q, c in entries:
@@ -163,6 +164,21 @@ def test_powersum_canonical_matches_reference(rng):
         assert got.canonical().terms == got.terms
         for r, s in points:
             assert _exact_value(got, r, s) == _exact_value(ps, r, s)
+
+
+def test_powersum_canonical_ignores_insertion_order(rng):
+    # the same multi-class sum with its terms inserted in reverse order has
+    # the same canonical terms, in the same order, and the same float value
+    checked = 0
+    while checked < 300:
+        ps = _random_exact_sum(rng)
+        if len(ps.classes()) < 2:
+            continue
+        checked += 1
+        reverse = PowerSum(dict(reversed(list(ps.terms.items()))))
+        got, want = reverse.canonical(), ps.canonical()
+        assert list(got.terms.items()) == list(want.terms.items()), ps
+        assert repr(got.eval(0.37)) == repr(want.eval(0.37)), ps
 
 
 def test_blocksum_payload_derivatives_match_fd():

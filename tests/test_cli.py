@@ -195,9 +195,17 @@ def test_negative_charges_need_no_equals_sign(capsys, argv):
 
 
 def test_usage_error_exit_code(capsys):
-    with pytest.raises(SystemExit) as err:
-        main(["residual", "--op", "nonsense", "--charges", "1"])
-    assert err.value.code == 2
+    for argv in (
+        ["residual", "--op", "nonsense", "--charges", "1"],
+        # flags the subcommand does not read
+        ["modealg-verify", "--level", "2", "--seed", "7"],
+        ["recurse", "--ell", "1", "--charges", "3/10,2/5,1/2,-1/5", "--k", "1",
+         "--tolerance", "1e-3"],
+        ["identity-check", "--k", "2", "--draws", "2", "--ell", "2"],
+    ):
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 2, argv
 
 
 def test_configuration_error_exit_code(capsys):
@@ -221,6 +229,8 @@ def test_configuration_error_exit_code(capsys):
     ["residual", "--op", "kz-m2", "--ell", "2", "--charges", "2.645,0/5,1"],
     # powers that each fit a double, with a product that does not
     ["residual", "--op", "ward", "--ell", "2", "--charges=1/2,-0.157,2.091,-210.6753253402907"],
+    # scan emits the flow-2 blocks only
+    ["scan", "--ell", "3", "--charges", "0.35,0.8", "--j4", "0.6", "--eta-grid", "0.1,0.5,3"],
 ])
 def test_bad_input_exit_code(capsys, argv):
     assert main(argv) == 2
