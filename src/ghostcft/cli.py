@@ -71,8 +71,17 @@ def _report_json(reports) -> str:
 # ----------------------------------------------------------------------
 
 
+# the flow each block op of eval evaluates
+_EVAL_FLOW = {"block-l1": 1, "blocks-l2": 2, "block-l3": 3, "conj-l3": 3, "conj-l2": 2,
+              "monodromy-ratio": 2}
+
+
 def cmd_eval(args) -> int:
     charges = _charges(args.charges)
+    flow = _EVAL_FLOW.get(args.op)
+    if flow is not None and args.ell not in (None, flow):
+        raise ValueError(f"--op {args.op} evaluates flow {flow}; got --ell {args.ell}")
+    ell = 1 if args.ell is None else args.ell
     if args.eta is None and args.op in ("block-l1", "blocks-l2", "block-l3", "conj-l3", "conj-l2"):
         raise ValueError(f"--op {args.op} needs --eta")
     eta = complex(args.eta) if args.eta is not None else None
@@ -80,12 +89,12 @@ def cmd_eval(args) -> int:
     if args.op == "two-point":
         j1, j2 = charges
         p1 = co.GhostPrimary(j1, 0)
-        p2 = co.GhostPrimary(j2, args.ell)
+        p2 = co.GhostPrimary(j2, ell)
         val = co.two_point(p1, p2, args.w1, args.w2)
         out = {"op": args.op, "value": str(val)}
     elif args.op == "three-point":
         j1, j2, j3 = charges
-        val = co.three_point(j1, j2, j3, args.ell, args.w1, args.w2, args.w3)
+        val = co.three_point(j1, j2, j3, ell, args.w1, args.w2, args.w3)
         out = {"op": args.op, "value": str(val)}
     elif args.op == "block-l1":
         (j3,) = charges[:1]
@@ -114,7 +123,7 @@ def cmd_eval(args) -> int:
         out = {"op": args.op, "value": str(co.monodromy_ratio_l2(j1, j2, j4))}
     elif args.op == "selection":
         fields = []
-        flows = [0] * (len(charges) - 1) + [args.ell]
+        flows = [0] * (len(charges) - 1) + [ell]
         for j, l in zip(charges, flows):
             fields.append(co.GhostPrimary(j, l))
         verdict = co.selection_rule(co.CorrelatorSpec(fields))
@@ -201,6 +210,12 @@ def cmd_residual(args) -> int:
     charges = _charges(args.charges)
     if args.tolerance is None:  # the engine's own default
         args.tolerance = kz.DEFAULT_TOLERANCES[args.op]
+    # the first-order identities and the two-point family exist at flow 1 only
+    if args.ell != 1 and args.op in ("kz-m1", "kz-j0", "kz-decoupled"):
+        raise ValueError(f"--op {args.op} checks a flow-1 identity; got --ell {args.ell}")
+    if args.ell != 1 and args.op in ("kz-m2", "bpz") and len(charges) == 2:
+        raise ValueError(f"--op {args.op} on two charges checks the flow-1 two-point "
+                         f"function; got --ell {args.ell}")
     if args.op == "ward":
         reports = _ward_reports(charges, args.ell, args.tolerance, args.seed)
     elif args.op == "kz-m2":
@@ -245,19 +260,22 @@ def cmd_recurse(args) -> int:
     j1, j2, j3, j4 = charges
     exact = all_exact(j1, j2, j3, j4)
     ell = args.ell
+    if ell not in (1, 2, 3):
+        raise ValueError("recursion families exist for ell in {1, 2, 3}")
+    if args.block == 2 and ell != 2:
+        raise ValueError(f"--block 2 picks the second flow-2 block; at --ell {ell} recurse "
+                         f"runs the flow-{ell} power block")
     if ell == 1:
         block = kz.FourPointL1Family(Fraction(1) if exact else 1.0).specialized(charges)
     elif ell == 2:
         block = co.fourpoint_blocksums(2, j1, j2, j4)[args.block - 1]
-    elif ell == 3:
+    else:
         # the monodromy-selected power block; exact inputs keep it exact
         block = (
             co.block_l3_powersum(j1, j2, j4)
             if exact
             else co.fourpoint_blocksums(3, j1, j2, j4)[0]
         )
-    else:
-        raise ValueError("recursion families exist for ell in {1, 2, 3}")
     result = kz.recursion_iterate(block, (j1, j2, j3, j4), ell, args.k)
     payload = {
         "ell": ell,
@@ -431,7 +449,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--w2", type=float, default=1.0)
     sp.add_argument("--w3", type=float, default=0.0)
     common(sp, "charges", "ell")
-    sp.set_defaults(fn=cmd_eval)
+    # without --ell a block op runs its own flow; two-point, three-point and
+    # selection run flow 1
+    sp.set_defaults(fn=cmd_eval, ell=None)
 
     sp = sub.add_parser("residual", help="run a residual sweep")
     sp.add_argument("--op", required=True,

@@ -67,11 +67,10 @@ class GhostPrimary:
 
 @dataclass
 class CorrelatorSpec:
-    """An ordered insertion list; points may start with None meaning the
-    bra at infinity (specialized frame)."""
+    """The ordered fields of a correlator; selection_rule reads their
+    charges and flows."""
 
     fields: Sequence[GhostPrimary]
-    points: Optional[Sequence[Optional[Scalar]]] = None
 
     def ghosts(self) -> List[GhostPrimary]:
         out = []
@@ -134,14 +133,13 @@ def charge_conserved(total: Scalar) -> bool:
 # ----------------------------------------------------------------------
 
 
-def two_point(p1: GhostPrimary, p2: GhostPrimary, w1: Scalar, w2: Scalar,
-              constant: Scalar = 1) -> Scalar:
-    """B * w12^(-((2l-1) i - l^2)) when i+j = 1 and l+m = 1, else exact 0."""
+def two_point(p1: GhostPrimary, p2: GhostPrimary, w1: Scalar, w2: Scalar) -> Scalar:
+    """w12^(-((2l-1) i - l^2)) when i+j = 1 and l+m = 1, else exact 0."""
     sel_charge = p1.j + p2.j - 1
     if p1.ell + p2.ell != 1 or not charge_conserved(sel_charge):
         return 0
     expo = -((2 * p1.ell - 1) * p1.j - p1.ell**2)
-    return constant * cpow(w1 - w2, expo)
+    return cpow(w1 - w2, expo)
 
 
 def three_point_exponents(j1, j2, j3, ell: int):
@@ -151,20 +149,15 @@ def three_point_exponents(j1, j2, j3, ell: int):
     return e12, e13, e23
 
 
-def three_point(j1, j2, j3, ell: int, w1, w2, w3, constant: Scalar = 1) -> Scalar:
-    """C * w12^.. w13^.. w23^.. for ell in {1, 2}; exact 0 for ell > 2 or
+def three_point(j1, j2, j3, ell: int, w1, w2, w3) -> Scalar:
+    """w12^.. w13^.. w23^.. for ell in {1, 2}; exact 0 for ell > 2 or
     charge violation."""
     if ell > 2 or ell <= 0:
         return 0
     if not charge_conserved(j1 + j2 + j3 - ell):
         return 0
     e12, e13, e23 = three_point_exponents(j1, j2, j3, ell)
-    return (
-        constant
-        * cpow(w1 - w2, e12)
-        * cpow(w1 - w3, e13)
-        * cpow(w2 - w3, e23)
-    )
+    return cpow(w1 - w2, e12) * cpow(w1 - w3, e13) * cpow(w2 - w3, e23)
 
 
 # ----------------------------------------------------------------------
@@ -172,9 +165,9 @@ def three_point(j1, j2, j3, ell: int, w1, w2, w3, constant: Scalar = 1) -> Scala
 # ----------------------------------------------------------------------
 
 
-def block_l1(j3: Scalar, eta: Scalar, constant: Scalar = 1) -> Scalar:
+def block_l1(j3: Scalar, eta: Scalar) -> Scalar:
     """eta^{j3}: the general-charge flow-1 solution."""
-    return constant * cpow(eta, j3)
+    return cpow(eta, j3)
 
 
 def fourpoint_blocksums(ell: int, j1, j2, j4) -> Tuple[BlockSum, BlockSum]:
@@ -238,13 +231,13 @@ def blocks_l2_blocksums(j1, j2, j4) -> Tuple[BlockSum, BlockSum]:
     return fourpoint_blocksums(2, j1, j2, j4)
 
 
-def block_l3(j1, j2, j4, eta, constant: Scalar = 1) -> Scalar:
-    """Monodromy-selected flow-3 block: C eta^(-j4+2) (1-eta)^(-j2+1/2)."""
-    return fourpoint_blocksums(3, j1, j2, j4)[0].scale(constant).value(eta)
+def block_l3(j1, j2, j4, eta) -> Scalar:
+    """Monodromy-selected flow-3 block: eta^(-j4+2) (1-eta)^(-j2+1/2)."""
+    return fourpoint_blocksums(3, j1, j2, j4)[0].value(eta)
 
 
-def block_l3_powersum(j1, j2, j4, constant: Scalar = 1) -> PowerSum:
-    return PowerSum.single(constant, -j4 + 2, -j2 + HALF)
+def block_l3_powersum(j1, j2, j4) -> PowerSum:
+    return PowerSum.single(1, -j4 + 2, -j2 + HALF)
 
 
 def block_l3_general(j1, j2, j4, eta, alpha1: Scalar, alpha2: Scalar) -> Scalar:
@@ -323,8 +316,6 @@ def bulk_l2(j1, j2, j4, eta, alpha11: float, winding0: int = 0,
     winding0 tracks analytic continuation eta -> e^(2 pi i n) eta (with the
     conjugate rotating oppositely); the optional alpha12 cross term breaks
     single-valuedness and exists as a detector control."""
-    import cmath
-
     alpha22 = monodromy_ratio_l2(j1, j2, j4) * alpha11
     b1, b2 = (b.value(to_complex(eta)) for b in fourpoint_blocksums(2, j1, j2, j4))
     # chiral monodromy phases around 0: b1 ~ eta^1, b2 ~ eta^{-j4+3/2};
@@ -340,20 +331,21 @@ def bulk_l2(j1, j2, j4, eta, alpha11: float, winding0: int = 0,
     return total
 
 
-def bulk_l2_crossterm_residual(j1, j2, j4, eta, alpha11: float = 1.0) -> float:
+def bulk_l2_crossterm_residual(j1, j2, j4, eta) -> float:
     """The branch-crossing terms in the expansion of the bulk correlator
     around eta = 1, relative to the size of their two contributions; they
-    vanish identically when alpha22/alpha11 takes the monodromy-fixed value."""
-    alpha22 = monodromy_ratio_l2(j1, j2, j4) * alpha11
+    vanish identically when alpha22/alpha11 takes the monodromy-fixed value
+    (alpha11 = 1 here)."""
+    alpha22 = monodromy_ratio_l2(j1, j2, j4)
     (a1, b1, c1), (a2, b2, c2) = blocks_l2_params(j1, j2, j4)
     x = 1 - to_complex(eta)
     g1 = specfun.hyp2f1(a1, b1, a1 + b1 - c1 + 1, x)
     h1 = specfun.hyp2f1(c1 - a1, c1 - b1, c1 - a1 - b1 + 1, x)
     g2 = specfun.hyp2f1(a2, b2, a2 + b2 - c2 + 1, x)
     h2 = specfun.hyp2f1(c2 - a2, c2 - b2, c2 - a2 - b2 + 1, x)
-    ca1, cb1 = specfun.connection_coeffs_01(specfun.Hyp2F1Params(a1, b1, c1))
-    ca2, cb2 = specfun.connection_coeffs_01(specfun.Hyp2F1Params(a2, b2, c2))
-    t1 = alpha11 * ca1 * cb1 * g1 * h1
+    ca1, cb1 = specfun.connection_coeffs_01(a1, b1, c1)
+    ca2, cb2 = specfun.connection_coeffs_01(a2, b2, c2)
+    t1 = ca1 * cb1 * g1 * h1
     t2 = alpha22 * cpow(to_complex(eta), 1 - 2 * to_complex(j4)) * ca2 * cb2 * g2 * h2
     return relative_gap(t1 + t2, t1, t2)
 
@@ -376,12 +368,12 @@ def recursed_l2_terms(k: int, j1, j2, j4):
     return first, second
 
 
-def bulk_l2_crossterm_recursed(k: int, j1, j2, j4, eta, alpha11: float = 1.0) -> complex:
+def bulk_l2_crossterm_recursed(k: int, j1, j2, j4, eta) -> complex:
     """Branch-mixing coefficient around eta = 1 for the k-recursed flow-2
-    blocks, with the coefficient ratio still taken from the base charges.
-    Termwise 0->1 splits of the finite sums; vanishes for every k when the
-    ratio is the monodromy-fixed one."""
-    alpha22 = monodromy_ratio_l2(j1, j2, j4) * alpha11
+    blocks, with the coefficient ratio still taken from the base charges
+    (alpha11 = 1).  Termwise 0->1 splits of the finite sums; vanishes for
+    every k when the ratio is the monodromy-fixed one."""
+    alpha22 = monodromy_ratio_l2(j1, j2, j4)
     j4c = to_complex(j4)
     x = 1 - to_complex(eta)
     etac = to_complex(eta)
@@ -389,7 +381,7 @@ def bulk_l2_crossterm_recursed(k: int, j1, j2, j4, eta, alpha11: float = 1.0) ->
     def split(terms):
         analytic = branch = 0j
         for m, (d, (a, b, c)) in enumerate(terms):
-            ca, cb = specfun.connection_coeffs_01(specfun.Hyp2F1Params(a, b, c))
+            ca, cb = specfun.connection_coeffs_01(a, b, c)
             g = specfun.hyp2f1(a, b, a + b - c + 1, x)
             h = specfun.hyp2f1(c - a, c - b, c - a - b + 1, x)
             analytic += d * ca * g
@@ -401,7 +393,7 @@ def bulk_l2_crossterm_recursed(k: int, j1, j2, j4, eta, alpha11: float = 1.0) ->
     p_two, q_two = split(second)
     pi1 = 2 * k + 1
     pi2 = 2 * k - j4c + 1.5
-    return alpha11 * cpow(etac, 2 * pi1) * p_one * q_one + alpha22 * cpow(
+    return cpow(etac, 2 * pi1) * p_one * q_one + alpha22 * cpow(
         etac, 2 * pi2
     ) * p_two * q_two
 
@@ -480,10 +472,10 @@ def _warn_if_conjectural(j3) -> None:
         )
 
 
-def conj_block_l3(j1, j2, j3, j4, eta, constant: Scalar = 1) -> complex:
+def conj_block_l3(j1, j2, j3, j4, eta) -> complex:
     """General-charge flow-3 block:
 
-        C [beta(1/2,-j4+1)/beta(j3,-j3-j4+3/2)] eta^(2 j3 - j4 + 1)
+        [beta(1/2,-j4+1)/beta(j3,-j3-j4+3/2)] eta^(2 j3 - j4 + 1)
           (1-eta)^(-j2+1/2) 2F1(-j1+3/2, -j3+1/2; -j3-j4+3/2; eta),
 
     evaluated through the regularized 2F1 so the -j3-j4+3/2 in -N0 cases are
@@ -509,15 +501,14 @@ def conj_block_l3(j1, j2, j3, j4, eta, constant: Scalar = 1) -> complex:
     )
     reg = specfun.hyp2f1_regularized(-j1c + 1.5, -j3c + 0.5, c_low, eta)
     return (
-        constant
-        * pref
+        pref
         * cpow(eta, 2 * j3c - j4c + 1)
         * cpow(1 - to_complex(eta), -j2c + 0.5)
         * reg
     )
 
 
-def conj_block_l3_powersum(j1, j2, j3, j4, constant: Scalar = 1) -> PowerSum:
+def conj_block_l3_powersum(j1, j2, j3, j4) -> PowerSum:
     """Exact PowerSum form at half-odd-integer j3 (terminating 2F1)."""
     j1f, j2f, j3f, j4f = map(as_fraction, (j1, j2, j3, j4))
     k = j3f - HALF
@@ -525,8 +516,7 @@ def conj_block_l3_powersum(j1, j2, j3, j4, constant: Scalar = 1) -> PowerSum:
         raise ChargeError("exact form needs j3 in {1/2, 3/2, ...}")
     k = int(k)
     base_j4 = j4f + k  # the probe-lattice label
-    ps = poly_Pk_polysum(k, j1f, base_j4).scale(constant)
-    return ps.mul_power(-base_j4 + 3 * k + 2, -j2f + HALF)
+    return poly_Pk_polysum(k, j1f, base_j4).mul_power(-base_j4 + 3 * k + 2, -j2f + HALF)
 
 
 def conj_blocks_l2(j1, j2, j3, j4, eta) -> Tuple[complex, complex]:

@@ -27,7 +27,8 @@ class BranchCutError(GhostCftError):
 
 
 class TruncationError(GhostCftError):
-    """Mode-algebra action would need modes beyond the truncation cap."""
+    """A finite mode sum left out a term that does not vanish: the boundary
+    term of the (JJ)_n window."""
 
 
 class ContextError(GhostCftError):

@@ -56,14 +56,14 @@ DEFAULT_TOLERANCES = {"ward": 1e-9, "kz-m2": 1e-10, "kz-m1": 1e-10,
                       "kz-j0": 1e-12, "kz-decoupled": 1e-12, "bpz": 1e-8}
 
 
-def sample_insertions(n: int, count: int = 5, seed: int = DEFAULT_SEED,
-                      spread: float = 4.0, min_sep: float = 0.35) -> List[List[float]]:
-    """Seeded, well-separated real insertion points w_1 > ... > w_n."""
+def sample_insertions(n: int, count: int = 5, seed: int = DEFAULT_SEED) -> List[List[float]]:
+    """Seeded real insertion points 4 > w_1 > ... > w_n > -4, each at least
+    0.35 from the next."""
     rng = random.Random(seed)
     out: List[List[float]] = []
     while len(out) < count:
-        ws = sorted((rng.uniform(-spread, spread) for _ in range(n)), reverse=True)
-        if all(ws[i] - ws[i + 1] >= min_sep for i in range(n - 1)):
+        ws = sorted((rng.uniform(-4.0, 4.0) for _ in range(n)), reverse=True)
+        if all(ws[i] - ws[i + 1] >= 0.35 for i in range(n - 1)):
             out.append(ws)
     return out
 
@@ -73,8 +73,8 @@ class ResidualReport:
     """Sampled residuals of one operator identity."""
 
     operator: str
-    max_abs: float = 0.0
-    samples: List[dict] = field(default_factory=list)
+    max_abs: float = field(default=0.0, init=False)
+    samples: List[dict] = field(default_factory=list, init=False)
     tolerance: Optional[float] = None
 
     def add(self, where: dict, residual: float) -> None:
@@ -199,16 +199,14 @@ def ward_max_residual(F, charges, weights, points=None) -> float:
 
 
 class TwoPointFamily:
-    """<phi_{j1} phi_{j2}^1> = B w12^{j1}; the shift relation keeps B."""
+    """<phi_{j1} phi_{j2}^1> = w12^{j1}; the shift relation keeps the
+    constant, 1."""
 
     ell = 1
 
-    def __init__(self, constant: Scalar = 1):
-        self.constant = constant
-
     def base(self, charges) -> WardForm:
         q, h = standard_frame_data(*charges, self.ell)
-        return WardForm(q, h, BlockSum.constant(self.constant))
+        return WardForm(q, h, BlockSum.constant(1))
 
     def companion(self, i: int, charges) -> WardForm:
         j1, j2 = charges
@@ -217,13 +215,13 @@ class TwoPointFamily:
 
 
 class ThreePointFamily:
-    """The flow-1/2 3-point forms with the displayed constant recursions."""
+    """The flow-1/2 3-point forms with the displayed constant recursions,
+    from the constant 1 at the base charges."""
 
-    def __init__(self, ell: int, constant: Scalar = 1):
+    def __init__(self, ell: int):
         if ell not in (1, 2):
             raise ChargeError("non-vanishing 3-point functions need ell in {1,2}")
         self.ell = ell
-        self.constant = constant
 
     def _form(self, j1, j2, j3, constant) -> WardForm:
         q, h = standard_frame_data(j1, j2, j3, self.ell)
@@ -231,18 +229,18 @@ class ThreePointFamily:
 
     def base(self, charges) -> WardForm:
         j1, j2, j3 = charges
-        return self._form(j1, j2, j3, self.constant)
+        return self._form(j1, j2, j3, 1)
 
     def shifted_constant(self, i: int, charges) -> Scalar:
         j1, j2, j3 = charges
         if self.ell == 1:
-            return self.constant
+            return 1
         name, divisor = ("j1", j1) if i == 1 else ("j2", j2)
         if divisor == 0:
             raise DivisionByZeroCharge(f"the shifted constant divides by {name} = 0")
         if i == 1:
-            return (j3 - 1) * self.constant / j1
-        return -(j3 - 1) * self.constant / j2
+            return (j3 - 1) / j1
+        return -(j3 - 1) / j2
 
     def companion(self, i: int, charges) -> WardForm:
         j1, j2, j3 = charges
@@ -282,8 +280,7 @@ class FourPointL1Family:
 
 
 def kz_residual_m2(family, charges, points=None,
-                   tolerance: float = DEFAULT_TOLERANCES["kz-m2"],
-                   label: str = "kz-m2") -> ResidualReport:
+                   tolerance: float = DEFAULT_TOLERANCES["kz-m2"]) -> ResidualReport:
     """Residual of the charge-shift identity
 
         [d_N + (l-1) sum_i j_i / w_iN] F = -sum_i (j_i / w_iN^{l+1}) F_i,
@@ -295,7 +292,7 @@ def kz_residual_m2(family, charges, points=None,
     base = family.base(charges)
     companions = {i: family.companion(i, charges) for i in range(1, n)}
     points = points if points is not None else sample_insertions(n)
-    report = ResidualReport(label, tolerance=tolerance)
+    report = ResidualReport("kz-m2", tolerance=tolerance)
     for ws in points:
         wsc = [to_complex(w) for w in ws]
         lhs = base.d(n - 1, wsc)
@@ -344,41 +341,41 @@ def kz_residual_m1_l1(family, charges, points=None,
 # ----------------------------------------------------------------------
 
 
-def _eta_sweep(label: str, etas, tolerance: float, lhs, rhs) -> ResidualReport:
-    """The residual report of lhs(eta) = rhs(eta) over the sampled etas."""
+def _eta_sweep(label: str, tolerance: float, lhs, rhs) -> ResidualReport:
+    """The residual report of lhs(eta) = rhs(eta) over DEFAULT_ETA_POINTS."""
     report = ResidualReport(label, tolerance=tolerance)
-    for eta in etas:
+    for eta in DEFAULT_ETA_POINTS:
         left, right = lhs(eta), rhs(eta)
         report.add({"eta": str(eta)}, relative_gap(left - right, left, right))
     return report
 
 
-def kz_specialized_m1_residual(block, block_shifted, j3, etas=DEFAULT_ETA_POINTS,
+def kz_specialized_m1_residual(block, block_shifted, j3,
                                tolerance: float = DEFAULT_TOLERANCES["kz-m1"]
                                ) -> ResidualReport:
     """d_eta G_{j3,j4} = (j3/eta^2) G_{j3+1,j4-1} in the frame (oo,1,eta,0)."""
     shifted = as_blocksum(block_shifted)
     return _eta_sweep(
-        "kz-m1-specialized", etas, tolerance, as_blocksum(block).deriv().value,
+        "kz-m1-specialized", tolerance, as_blocksum(block).deriv().value,
         lambda eta: to_complex(j3) / to_complex(eta) ** 2 * shifted.value(eta))
 
 
-def kz_specialized_j0_residual(block, block_shifted, etas=DEFAULT_ETA_POINTS,
+def kz_specialized_j0_residual(block, block_shifted,
                                tolerance: float = DEFAULT_TOLERANCES["kz-j0"]
                                ) -> ResidualReport:
     """G_{j3,j4} = (1/eta) G_{j3+1,j4-1}: the algebraic identity at flow 1."""
     shifted = as_blocksum(block_shifted)
-    return _eta_sweep("kz-j0-specialized", etas, tolerance, as_blocksum(block).value,
+    return _eta_sweep("kz-j0-specialized", tolerance, as_blocksum(block).value,
                       lambda eta: shifted.value(eta) / to_complex(eta))
 
 
-def kz_decoupled_residual(block, j3, etas=DEFAULT_ETA_POINTS,
+def kz_decoupled_residual(block, j3,
                           tolerance: float = DEFAULT_TOLERANCES["kz-decoupled"]
                           ) -> ResidualReport:
     """d_eta G = (j3/eta) G: the first-order identity after eliminating the
     shifted block with the algebraic identity."""
     g = as_blocksum(block)
-    return _eta_sweep("kz-l1-decoupled", etas, tolerance, g.deriv().value,
+    return _eta_sweep("kz-l1-decoupled", tolerance, g.deriv().value,
                       lambda eta: to_complex(j3) / to_complex(eta) * g.value(eta))
 
 
@@ -440,7 +437,7 @@ def bpz_residual(F, i: int, charges, weights, points=None, rhs=None,
     return report
 
 
-def threept_bpz_rhs(j2, ell: int, constant: Scalar = 1):
+def threept_bpz_rhs(j2, ell: int):
     """The explicit right side of the 3-point second-order constraint with
     the probe at the first insertion; vanishes for ell in {1, 2}."""
     j2c = to_complex(j2)
@@ -454,7 +451,6 @@ def threept_bpz_rhs(j2, ell: int, constant: Scalar = 1):
             * (ell - 2)
             * (j2c - ell / 2.0)
             * (j2c - (ell - 1) / 2.0)
-            * to_complex(constant)
         )
         return (
             pref
@@ -512,10 +508,11 @@ def threept_constraint_check(j1, j2, j3, ell: int) -> ThreePtVerdict:
     return ThreePtVerdict("relations-hold")
 
 
-def threept_shifted_constants(j1, j2, j3, ell: int, constant: Scalar = 1):
-    """(C(j1+1, j2, j3-1), C(j1, j2+1, j3-1)) read off the pure monomials."""
+def threept_shifted_constants(j1, j2, j3, ell: int):
+    """(C(j1+1, j2, j3-1), C(j1, j2+1, j3-1)) read off the pure monomials,
+    for C(j1, j2, j3) = 1."""
     j1f, j2f, j3f = map(as_fraction, (j1, j2, j3))
-    fam = ThreePointFamily(ell, constant)
+    fam = ThreePointFamily(ell)
     return (
         fam.shifted_constant(1, (j1f, j2f, j3f)),
         fam.shifted_constant(2, (j1f, j2f, j3f)),

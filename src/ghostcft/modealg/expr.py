@@ -104,8 +104,8 @@ class ModeExpr(LinComb):
         return cls({(): Fraction(coeff)})
 
     @classmethod
-    def of(cls, *modes: Mode, coeff=Fraction(1)) -> "ModeExpr":
-        return cls({tuple(modes): Fraction(coeff)})
+    def of(cls, *modes: Mode) -> "ModeExpr":
+        return cls({tuple(modes): Fraction(1)})
 
     @classmethod
     def beta(cls, n: int) -> "ModeExpr":

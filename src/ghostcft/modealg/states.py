@@ -27,10 +27,9 @@ for n <= -1
     L_n phi_j = ell b_{n-ell} phi_{j-1} + (n+ell) j g_{n+ell} phi_{j+1}
                 + sum_{c=n+ell+1}^{ell-1} c g_c b_{n-c} phi_j.
 
-(JJ)_n sums :J_a J_{n-a}: over |a| <= w + 2, where w = depth + |n| + |ell| + 4
-and depth is the largest |index| of a creator in the state; its boundary
-terms must vanish, else TruncationError.  A state's truncation_level caps w:
-every J or L action whose w exceeds it raises TruncationError.
+J and L need no mode window.  (JJ)_n sums :J_a J_{n-a}: over
+|a| <= depth + |n| + |ell| + 6, where depth is the largest |index| of a
+creator in the state; its boundary terms must vanish, else TruncationError.
 """
 from __future__ import annotations
 
@@ -55,29 +54,26 @@ class GhostState(LinComb):
     """Exact vector in (a spectral flow of) a relaxed module.
 
     base charge j (exact rational), flow ell; terms map (creators, k) to the
-    coefficient of creators * phi_{j+k}^ell.  truncation_level caps the mode
-    indices a composite action may touch; None means automatic (exact).
+    coefficient of creators * phi_{j+k}^ell.
     """
 
-    __slots__ = ("j", "ell", "truncation_level")
+    __slots__ = ("j", "ell")
     exact = True
 
-    def __init__(self, j, ell: int = 0, terms: Optional[Dict[StateKey, Fraction]] = None,
-                 truncation_level: Optional[int] = None):
+    def __init__(self, j, ell: int = 0, terms: Optional[Dict[StateKey, Fraction]] = None):
         self.j = Fraction(j)
         self.ell = int(ell)
-        self.truncation_level = truncation_level
         LinComb.__init__(self, terms)
 
     @classmethod
-    def primary(cls, j, ell: int = 0, truncation_level: Optional[int] = None) -> "GhostState":
-        return cls(j, ell, {((), 0): Fraction(1)}, truncation_level)
+    def primary(cls, j, ell: int = 0) -> "GhostState":
+        return cls(j, ell, {((), 0): Fraction(1)})
 
     def base(self) -> Tuple[Fraction, int]:
         return (self.j, self.ell)
 
     def _like(self, terms: Dict[StateKey, Fraction]) -> "GhostState":
-        return GhostState(self.j, self.ell, terms, self.truncation_level)
+        return GhostState(self.j, self.ell, terms)
 
     def to_text(self) -> str:
         if not self.terms:
@@ -93,20 +89,12 @@ class GhostState(LinComb):
     def __repr__(self) -> str:
         return f"GhostState[{self.to_text()}]"
 
-    # -- depth bookkeeping ------------------------------------------------
     def max_depth(self) -> int:
         depth = 0
         for (mono, _k) in self.terms:
             for (_fam, n) in mono:
                 depth = max(depth, abs(n))
         return depth
-
-    def _check_cap(self, needed: int) -> None:
-        if self.truncation_level is not None and needed > self.truncation_level:
-            raise TruncationError(
-                f"action needs modes up to |n| = {needed}, beyond the "
-                f"truncation level {self.truncation_level}"
-            )
 
 
 def _apply_ghost_mode(state: GhostState, m: Mode) -> GhostState:
@@ -172,14 +160,6 @@ def act(expr: ModeExpr, state: GhostState) -> GhostState:
     return state._like(out)
 
 
-def _window(state: GhostState, n: int) -> int:
-    """depth + |n| + |ell| + 4, the mode width a J/L action may need; raises
-    TruncationError when it exceeds the state's truncation level."""
-    w = state.max_depth() + abs(n) + abs(state.ell) + 4
-    state._check_cap(w)
-    return w
-
-
 def _on_primary(j: Fraction, ell: int, n: int, weight, eigenvalue):
     """X_n phi_j^ell for X_n = sum_c weight(c) :b_{n-c} g_c:, as
     (creators, charge shift, coefficient) triples."""
@@ -233,29 +213,27 @@ def _derivation(state: GhostState, n: int, weight, eigenvalue) -> GhostState:
 
 def act_current(state: GhostState, n: int) -> GhostState:
     """J_n = sum_a :b_a g_{n-a}: acting exactly."""
-    _window(state, n)
     return _derivation(state, n, lambda c: 1, lambda j, ell: j - ell)
 
 
 def act_virasoro(state: GhostState, n: int) -> GhostState:
     """L_n = sum_c c :b_{n-c} g_c: acting exactly."""
-    _window(state, n)
     return _derivation(state, n, lambda c: c,
                        lambda j, ell: ell * j - Fraction(ell * (ell + 1), 2))
 
 
 def act_current_squared(state: GhostState, n: int) -> GhostState:
-    """(JJ)_n = sum_a :J_a J_{n-a}:, the larger index acting first."""
-    w = _window(state, n) + 2
+    """(JJ)_n = sum_{|a| <= w} :J_a J_{n-a}:, the larger index acting first,
+    with w = depth + |n| + |ell| + 6."""
+    w = state.max_depth() + abs(n) + abs(state.ell) + 6
     out: Dict[StateKey, Fraction] = {}
     for lo, hi, mult, edge in jj_pairs(n, w):
         inner = act_current(state, hi)
         if inner.is_zero():
-            _window(inner, lo)  # the cap check J_lo would make
             continue
         piece = act_current(inner, lo)
         if edge and not piece.is_zero():
-            raise TruncationError("JJ window boundary term non-zero; widen cap")
+            raise TruncationError("JJ window boundary term non-zero")
         accumulate(out, piece.terms, mult)
     return state._like(out)
 
@@ -274,14 +252,13 @@ def act_flowed(state: GhostState, m: Mode, ell: int) -> GhostState:
     return act(expr, state)
 
 
-def creation_modes(ell: int, max_level: int, include_zero_grade: bool = True) -> List[Mode]:
+def creation_modes(ell: int, max_level: int) -> List[Mode]:
     """Creation modes for phi^ell with |L0 grade| = |index| <= max_level."""
     out: List[Mode] = []
     for n in range(-ell - 1, -ell - 1 - max_level, -1):
         if abs(n) <= max_level + abs(ell):
             out.append(mode(BETA, n))
-    g_top = ell - 1 if include_zero_grade else min(ell - 1, -1)
-    for n in range(g_top, g_top - max_level, -1):
+    for n in range(ell - 1, ell - 1 - max_level, -1):
         if abs(n) <= max_level + abs(ell):
             out.append(mode(GAMMA, n))
     return out

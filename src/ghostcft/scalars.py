@@ -19,6 +19,9 @@ Scalar = Union[int, Fraction, float, complex]
 
 _EXACT_TYPES = (int, Fraction)
 
+# how far a float may sit from an integer and still count as one
+INTEGER_TOL = 1e-12
+
 
 def is_exact(x: Scalar) -> bool:
     # a float or complex takes the type test: isinstance against the Fraction
@@ -50,7 +53,7 @@ def to_complex(x: Scalar) -> complex:
     return complex(x)
 
 
-def is_nonpositive_integer(z: Scalar, tol: float = 1e-12) -> bool:
+def is_nonpositive_integer(z: Scalar, tol: float = INTEGER_TOL) -> bool:
     """True when z is (numerically) a real integer <= 0."""
     if is_exact(z):
         f = as_fraction(z)
@@ -62,32 +65,32 @@ def is_nonpositive_integer(z: Scalar, tol: float = 1e-12) -> bool:
     return r <= tol and abs(r - round(r)) <= tol
 
 
-def nonpositive_integer_value(z: Scalar, tol: float = 1e-12) -> int:
+def nonpositive_integer_value(z: Scalar) -> int:
     """The integer n <= 0 that z equals; caller checks is_nonpositive_integer."""
     if is_exact(z):
         return int(as_fraction(z))
     return int(round(to_complex(z).real))
 
 
-def integer_difference(x: Scalar, y: Scalar, tol: float = 1e-12):
+def integer_difference(x: Scalar, y: Scalar):
     """Return x - y as an int when it is an integer, else None."""
     if is_exact(x) and is_exact(y):
         d = as_fraction(x) - as_fraction(y)
         return int(d) if d.denominator == 1 else None
     d = to_complex(x) - to_complex(y)
-    if abs(d.imag) > tol:
+    if abs(d.imag) > INTEGER_TOL:
         return None
     n = round(d.real)
-    return n if abs(d.real - n) <= tol else None
+    return n if abs(d.real - n) <= INTEGER_TOL else None
 
 
-def is_integer(z: Scalar, tol: float = 1e-12) -> bool:
-    return integer_difference(z, 0, tol) is not None
+def is_integer(z: Scalar) -> bool:
+    return integer_difference(z, 0) is not None
 
 
-def is_half_odd_integer(z: Scalar, tol: float = 1e-12) -> bool:
+def is_half_odd_integer(z: Scalar) -> bool:
     """True when z is in Z + 1/2."""
-    return integer_difference(z, Fraction(1, 2), tol) is not None
+    return integer_difference(z, Fraction(1, 2)) is not None
 
 
 def cpow(w: Scalar, p: Scalar) -> Scalar:

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (
@@ -105,73 +104,20 @@ def pochhammer(a: Scalar, n: int) -> Scalar:
     return out
 
 
-@dataclass(frozen=True)
-class Hyp2F1Params:
-    """Parameters of 2F1(a, b; c; z)."""
-
-    a: Scalar
-    b: Scalar
-    c: Scalar
-
-    def terminating_order(self):
-        """Smallest n >= 0 with (a)_{n+1} (b)_{n+1} = 0, or None."""
-        orders = []
-        for p in (self.a, self.b):
-            if is_nonpositive_integer(p):
-                orders.append(-nonpositive_integer_value(p))
-        return min(orders) if orders else None
-
-    def validate(self) -> None:
-        n = self.terminating_order()
-        if is_nonpositive_integer(self.c):
-            m = -nonpositive_integer_value(self.c)
-            if n is None or n > m:
-                raise ParamError(
-                    f"c = {self.c} is a non-positive integer and the series "
-                    "does not terminate before the pole"
-                )
+def _terminating_order(uppers, lowers):
+    """Smallest n >= 0 with an upper parameter equal to -n, where the series
+    ends, or None; ParamError when a lower parameter hits its pole first."""
+    orders = [-nonpositive_integer_value(p) for p in uppers if is_nonpositive_integer(p)]
+    n = min(orders) if orders else None
+    for b in lowers:
+        if is_nonpositive_integer(b) and (n is None or n > -nonpositive_integer_value(b)):
+            raise ParamError(f"lower parameter {b} hits a pole before termination")
+    return n
 
 
-@dataclass(frozen=True)
-class Hyp3F2Params:
-    """Parameters of 3F2(a1, a2, a3; b1, b2; z)."""
-
-    a1: Scalar
-    a2: Scalar
-    a3: Scalar
-    b1: Scalar
-    b2: Scalar
-
-    @property
-    def uppers(self):
-        return (self.a1, self.a2, self.a3)
-
-    @property
-    def lowers(self):
-        return (self.b1, self.b2)
-
-    def terminating_order(self):
-        orders = [
-            -nonpositive_integer_value(p)
-            for p in self.uppers
-            if is_nonpositive_integer(p)
-        ]
-        return min(orders) if orders else None
-
-    def validate(self) -> None:
-        n = self.terminating_order()
-        for b in self.lowers:
-            if is_nonpositive_integer(b):
-                m = -nonpositive_integer_value(b)
-                if n is None or n > m:
-                    raise ParamError(
-                        f"lower parameter {b} hits a pole before termination"
-                    )
-
-
-def _series_2f1(a: Scalar, b: Scalar, c: Scalar, z: Scalar, max_terms=SERIES_MAX_TERMS):
-    """Direct power series; exact when all inputs are exact and terminating."""
-    nterm = Hyp2F1Params(a, b, c).terminating_order()
+def _series_2f1(a: Scalar, b: Scalar, c: Scalar, z: Scalar, nterm):
+    """Direct power series, summed to order nterm when it terminates there
+    (exact when all inputs are exact), else to convergence."""
     num = as_fraction if nterm is not None and all_exact(a, b, c, z) else to_complex
     a, b, c, x = map(num, (a, b, c, z))
     total, term = num(0), num(1)
@@ -181,13 +127,13 @@ def _series_2f1(a: Scalar, b: Scalar, c: Scalar, z: Scalar, max_terms=SERIES_MAX
             if n < nterm:
                 term *= (a + n) * (b + n) * x / ((c + n) * (n + 1))
         return total
-    for n in range(max_terms):
+    for n in range(SERIES_MAX_TERMS):
         total += term
         term *= (a + n) * (b + n) * x / ((c + n) * (n + 1))
         if abs(term) <= SERIES_RTOL * max(abs(total), 1e-300):
             return total + term
     raise ConvergenceError(
-        f"2F1 series did not converge within {max_terms} terms at z = {z}"
+        f"2F1 series did not converge within {SERIES_MAX_TERMS} terms at z = {z}"
     )
 
 
@@ -199,13 +145,12 @@ def _gauss_at_1(a, b, c) -> complex:
     return gamma(c) * gamma(s) / (gamma(to_complex(c) - to_complex(a)) * gamma(to_complex(c) - to_complex(b)))
 
 
-def connection_coeffs_01(p: Hyp2F1Params):
+def connection_coeffs_01(a: Scalar, b: Scalar, c: Scalar):
     """Coefficients (A, B) linking the z=0 and z=1 Frobenius bases:
 
     2F1(a,b;c;z) = A * 2F1(a,b;a+b-c+1;1-z)
                  + B * (1-z)^(c-a-b) * 2F1(c-a,c-b;c-a-b+1;1-z)
     """
-    a, b, c = p.a, p.b, p.c
     if integer_difference(to_complex(c) - to_complex(a) - to_complex(b), 0) is not None:
         raise DegenerateError(
             f"c-a-b = {to_complex(c)-to_complex(a)-to_complex(b)} is an integer: "
@@ -215,7 +160,7 @@ def connection_coeffs_01(p: Hyp2F1Params):
     cb = to_complex(c) - to_complex(b)
     s = to_complex(c) - to_complex(a) - to_complex(b)
     coeff_a = gamma(c) * gamma(s) / (gamma(ca) * gamma(cb))
-    coeff_b = gamma(c) * gamma(-s) / (gamma(p.a) * gamma(p.b))
+    coeff_b = gamma(c) * gamma(-s) / (gamma(a) * gamma(b))
     return coeff_a, coeff_b
 
 
@@ -225,7 +170,7 @@ def _one_minus(z: complex) -> complex:
 
 
 def _connection_01(a, b, c, z, depth):
-    coeff_a, coeff_b = connection_coeffs_01(Hyp2F1Params(a, b, c))
+    coeff_a, coeff_b = connection_coeffs_01(a, b, c)
     ac, bc, cc = map(to_complex, (a, b, c))
     u = _one_minus(to_complex(z))
     s = cc - ac - bc
@@ -242,10 +187,9 @@ def _pfaff(a, b, c, z, depth):
 
 
 def _hyp2f1_impl(a, b, c, z, depth=0):
-    params = Hyp2F1Params(a, b, c)
-    params.validate()
-    if params.terminating_order() is not None:
-        return _series_2f1(a, b, c, z)
+    nterm = _terminating_order((a, b), (c,))
+    if nterm is not None:
+        return _series_2f1(a, b, c, z, nterm)
     zc = to_complex(z)
     if zc == 0:
         return 1 + 0j if not all_exact(a, b, c, z) else Fraction(1)
@@ -259,13 +203,13 @@ def _hyp2f1_impl(a, b, c, z, depth=0):
     if depth > 6:
         raise ConvergenceError("2F1 continuation recursion exceeded")
     if abs(zc) <= 0.7:
-        return _series_2f1(a, b, c, z)
+        return _series_2f1(a, b, c, z, None)
     if abs(_one_minus(zc)) <= 0.7:
         return _connection_01(a, b, c, zc, depth)
     if zc.real < 0.5 and abs(zc / (zc - 1.0)) <= 0.8:
         return _pfaff(a, b, c, zc, depth)
     if abs(zc) <= 0.95:
-        return _series_2f1(a, b, c, z)
+        return _series_2f1(a, b, c, z, None)
     if abs(_one_minus(zc)) <= 0.95:
         return _connection_01(a, b, c, zc, depth)
     if zc.real < 0.5:
@@ -307,7 +251,7 @@ def hyp2f1_regularized(a: Scalar, b: Scalar, c: Scalar, z: Scalar) -> complex:
     return to_complex(hyp2f1(a, b, c, z)) / gamma(c)
 
 
-def hyp2f1_log_pair(a: Scalar, b: Scalar, z: Scalar, max_terms=SERIES_MAX_TERMS):
+def hyp2f1_log_pair(a: Scalar, b: Scalar, z: Scalar):
     """Frobenius pair at c = 1: (y1, y2) with y1 = 2F1(a,b;1;z) and
     y2 = y1 log z + sum_{n>=1} ((a)_n (b)_n / (n!)^2) h_n z^n,
     h_n = sum_{t<n} (1/(a+t) + 1/(b+t) - 2/(t+1)).
@@ -319,7 +263,7 @@ def hyp2f1_log_pair(a: Scalar, b: Scalar, z: Scalar, max_terms=SERIES_MAX_TERMS)
     extra = 0j
     term = 1 + 0j
     h = 0j
-    for n in range(max_terms):
+    for n in range(SERIES_MAX_TERMS):
         y1 += term
         extra += term * h
         h += 1.0 / (ac + n) + 1.0 / (bc + n) - 2.0 / (n + 1.0)
@@ -332,9 +276,10 @@ def hyp2f1_log_pair(a: Scalar, b: Scalar, z: Scalar, max_terms=SERIES_MAX_TERMS)
     return y1, y2
 
 
-def _series_3f2(p: Hyp3F2Params, z: Scalar, max_terms=SERIES_MAX_TERMS):
-    nterm = p.terminating_order()
-    vals = (*p.uppers, *p.lowers, z)
+def _series_3f2(uppers, lowers, z: Scalar, nterm):
+    """Direct power series, summed to order nterm when it terminates there
+    (exact when all inputs are exact), else to convergence."""
+    vals = (*uppers, *lowers, z)
     num = as_fraction if nterm is not None and all_exact(*vals) else to_complex
     a1, a2, a3, b1, b2, x = map(num, vals)
     total, term = num(0), num(1)
@@ -345,22 +290,22 @@ def _series_3f2(p: Hyp3F2Params, z: Scalar, max_terms=SERIES_MAX_TERMS):
                 term *= (a1 + n) * (a2 + n) * (a3 + n) * x
                 term /= (b1 + n) * (b2 + n) * (n + 1)
         return total
-    for n in range(max_terms):
+    for n in range(SERIES_MAX_TERMS):
         total += term
         term *= (a1 + n) * (a2 + n) * (a3 + n) * x / ((b1 + n) * (b2 + n) * (n + 1))
         if abs(term) <= SERIES_RTOL * max(abs(total), 1e-300):
             return total + term
     raise ConvergenceError(
-        f"3F2 series did not converge within {max_terms} terms at z = {z}"
+        f"3F2 series did not converge within {SERIES_MAX_TERMS} terms at z = {z}"
     )
 
 
-def _collapse_pair(p: Hyp3F2Params):
+def _collapse_pair(uppers, lowers):
     """Find an (upper, lower) pair with integer offset k >= 0, preferring the
     smallest k.  Returns (i, j, k) or None."""
     best = None
-    for i, av in enumerate(p.uppers):
-        for j, bv in enumerate(p.lowers):
+    for i, av in enumerate(uppers):
+        for j, bv in enumerate(lowers):
             k = integer_difference(av, bv)
             if k is not None and k >= 0:
                 if best is None or k < best[2]:
@@ -368,15 +313,14 @@ def _collapse_pair(p: Hyp3F2Params):
     return best
 
 
-def _collapse_3f2(p: Hyp3F2Params, z: Scalar, i: int, j: int, k: int):
+def _collapse_3f2(uppers, lowers, z: Scalar, i: int, j: int, k: int):
     """3F2(A, B, beta+k; C, beta; z) via (beta+n)_k / (beta)_k polynomial
     action: (1/(beta)_k) * prod_t (beta + t + theta) applied to 2F1(A,B;C;z),
     theta = z d/dz.  Valid wherever the 2F1 continuations reach.
     """
-    rest_up = [p.uppers[t] for t in range(3) if t != i]
-    big_a, big_b = rest_up
-    big_c = p.lowers[1 - j]
-    beta = p.lowers[j]
+    big_a, big_b = [uppers[t] for t in range(3) if t != i]
+    big_c = lowers[1 - j]
+    beta = lowers[j]
     ac, bc, cc, betac = map(to_complex, (big_a, big_b, big_c, beta))
     zc = to_complex(z)
     # terms: dict (power m, shift s) -> coefficient, value = sum c z^m F(A+s,B+s;C+s;z)
@@ -407,51 +351,39 @@ def hyp3f2(a1: Scalar, a2: Scalar, a3: Scalar, b1: Scalar, b2: Scalar, z: Scalar
     a non-negative integer (the collapse onto 2F1 continuations, which covers
     the -eta/(1-eta) arguments of the block identities).
     """
-    p = Hyp3F2Params(a1, a2, a3, b1, b2)
-    p.validate()
+    uppers, lowers = (a1, a2, a3), (b1, b2)
+    nterm = _terminating_order(uppers, lowers)
     # exact upper/lower cancellation drops to 2F1
-    for i, av in enumerate(p.uppers):
-        for j, bv in enumerate(p.lowers):
+    for i, av in enumerate(uppers):
+        for j, bv in enumerate(lowers):
             same = (
                 av == bv
                 if (is_exact(av) and is_exact(bv))
                 else to_complex(av) == to_complex(bv)
             )
             if same and not is_nonpositive_integer(bv):
-                rest = [p.uppers[t] for t in range(3) if t != i]
-                return hyp2f1(rest[0], rest[1], p.lowers[1 - j], z)
-    if p.terminating_order() is not None:
-        return _series_3f2(p, z)
+                rest = [uppers[t] for t in range(3) if t != i]
+                return hyp2f1(rest[0], rest[1], lowers[1 - j], z)
+    if nterm is not None:
+        return _series_3f2(uppers, lowers, z, nterm)
     zc = to_complex(z)
     if abs(zc) <= 0.9:
-        return _series_3f2(p, z)
-    pair = _collapse_pair(p)
+        return _series_3f2(uppers, lowers, z, None)
+    pair = _collapse_pair(uppers, lowers)
     if pair is not None and not (zc.imag == 0 and zc.real >= 1):
-        return _collapse_3f2(p, z, *pair)
+        return _collapse_3f2(uppers, lowers, z, *pair)
     raise ConvergenceError(
         f"3F2 at z = {z}: |z| > 0.9 and no integer-offset collapse applies"
     )
 
 
-def beta_complete(a: Scalar, b: Scalar, *, regularized: bool = False):
-    """beta(a, b) = Gamma(a) Gamma(b) / Gamma(a+b)."""
-    pa = is_nonpositive_integer(a)
-    pb = is_nonpositive_integer(b)
-    ps = is_nonpositive_integer(to_complex(a) + to_complex(b))
-    if not (pa or pb or ps):
-        return gamma(a) * gamma(b) / gamma(to_complex(a) + to_complex(b))
-    if not regularized:
+def beta_complete(a: Scalar, b: Scalar):
+    """beta(a, b) = Gamma(a) Gamma(b) / Gamma(a+b); PoleError when a, b or
+    a+b is a pole of Gamma."""
+    apb = to_complex(a) + to_complex(b)
+    if is_nonpositive_integer(a) or is_nonpositive_integer(b) or is_nonpositive_integer(apb):
         raise PoleError(f"beta({a}, {b}) hits gamma poles")
-    num_poles = int(pa) + int(pb)
-    if num_poles == 0 and ps:
-        return 0j  # denominator pole only
-    if num_poles == 1 and ps:
-        # single pole over single pole: gamma(-n+e)/gamma(-m+e) -> (-1)^(n-m) m!/n!
-        n = -nonpositive_integer_value(a if pa else b)
-        m = -nonpositive_integer_value(to_complex(a) + to_complex(b))
-        other = b if pa else a
-        return (-1.0) ** (n - m) * math.factorial(m) / math.factorial(n) * gamma(other)
-    raise PoleError(f"beta({a}, {b}) diverges; regularization impossible")
+    return gamma(a) * gamma(b) / gamma(apb)
 
 
 def beta_incomplete(a: Scalar, b: Scalar, z: Scalar):

@@ -416,7 +416,7 @@ def test_criterion_10_kernel_invariants():
 
         # 0 -> 1 connection at z = 1/2
         if abs((c - a - b) - round(c - a - b)) > 1e-3:
-            ca, cb = sf.connection_coeffs_01(sf.Hyp2F1Params(a, b, c))
+            ca, cb = sf.connection_coeffs_01(a, b, c)
             rhs = ca * F(a, b, a + b - c + 1, 0.5) + cb * 0.5 ** (c - a - b) * F(
                 c - a, c - b, c - a - b + 1, 0.5
             )

@@ -231,12 +231,34 @@ def test_configuration_error_exit_code(capsys):
     ["residual", "--op", "ward", "--ell", "2", "--charges=1/2,-0.157,2.091,-210.6753253402907"],
     # scan emits the flow-2 blocks only
     ["scan", "--ell", "3", "--charges", "0.35,0.8", "--j4", "0.6", "--eta-grid", "0.1,0.5,3"],
+    # a flag naming a flow other than the one the op runs
+    ["eval", "--op", "blocks-l2", "--ell", "3", "--charges", "0.3,0.4,1/2,0.8", "--eta", "0.3"],
+    ["residual", "--op", "kz-m1", "--ell", "3", "--charges", "0.3,0.45,0.27,-0.02"],
+    ["residual", "--op", "kz-j0", "--ell", "3", "--charges", "0.3,0.45,0.27,-0.02"],
+    ["residual", "--op", "kz-decoupled", "--ell", "3", "--charges", "0.3,0.45,0.27,-0.02"],
+    ["residual", "--op", "kz-m2", "--ell", "3", "--charges", "0.37,0.63"],
+    ["residual", "--op", "bpz", "--ell", "3", "--charges", "1/2,1/2"],
+    ["recurse", "--ell", "1", "--charges", "3/10,2/5,1/2,-1/5", "--k", "1", "--block", "2"],
+    ["recurse", "--ell", "3", "--charges", "3/10,2/5,1/2,9/5", "--k", "1", "--block", "2"],
 ])
 def test_bad_input_exit_code(capsys, argv):
     assert main(argv) == 2
     out, err = capsys.readouterr()
     assert err.startswith("error: ")
     assert out == ""  # no partial report, so no NaN or Infinity on stdout
+
+
+@pytest.mark.parametrize("op, flow, charges", [
+    ("block-l1", "1", "0.3,0.4,1/2,0.8"), ("blocks-l2", "2", "0.3,0.4,1/2,0.8"),
+    ("block-l3", "3", "0.3,0.4,1/2,1.8"), ("conj-l3", "3", "0.3,0.45,3/2,0.75"),
+    ("conj-l2", "2", "0.3,0.4,1/2,0.8"), ("monodromy-ratio", "2", "0.3,0.4,1/2,0.8"),
+])
+def test_eval_block_op_runs_its_own_flow(capsys, op, flow, charges):
+    # with no --ell a block op runs; --ell may only name the flow it runs
+    argv = ["eval", "--op", op, "--charges", charges, "--eta", "0.3"]
+    code, out = run(capsys, *argv)
+    assert code == 0
+    assert (code, out) == run(capsys, *argv, "--ell", flow)
 
 
 def test_nan_residual_fails_its_report(capsys, monkeypatch):

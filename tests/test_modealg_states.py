@@ -160,27 +160,20 @@ def test_commutators_on_flowed_basis():
     assert check_virasoro(sts, Fraction(2), act_virasoro, range(-2, 3))
 
 
-def test_truncation_error_surfaces():
-    phi = GhostState.primary(half, truncation_level=2)
+def test_jj_window_boundary_term_raises(monkeypatch):
+    # (JJ)_n sums over a finite window and raises when a term at its edge
+    # does not vanish; narrowed to |a| <= 1, the window of (JJ)_0 on
+    # b_-1 phi has the edge term J_-1 J_1 b_-1 phi, which is not zero
+    state = GhostState(Fraction(1, 3), 0, {(((BETA, -1),), 0): Fraction(1)})
+    assert not act_current(act_current(state, 1), -1).is_zero()
+    full = act_current_squared(state, 0)
+    assert full == _reference_current_squared(state, 0)
+    jj_pairs = states.jj_pairs
+    monkeypatch.setattr(states, "jj_pairs", lambda n, w: jj_pairs(n, 1))
     with pytest.raises(TruncationError):
-        act_current(phi, 4)
-
-
-def test_truncation_cap_on_level_two_monomial():
-    # the cap is depth + |n| + |ell| + 4 for a non-primary state too
-    for ell in (0, 1):
-        mono = [s for s in basis_states(Fraction(1, 3), ell, max_level=2, max_factors=2)
-                if len(next(iter(s.terms))[0]) == 2][0]
-        ((key, coeff),) = mono.terms.items()
-        depth = mono.max_depth()
-        for action in (act_current, act_virasoro):
-            for n in (-2, 0, 3):
-                need = depth + abs(n) + abs(ell) + 4
-                capped = GhostState(mono.j, ell, {key: coeff}, truncation_level=need - 1)
-                with pytest.raises(TruncationError):
-                    action(capped, n)
-                at_cap = GhostState(mono.j, ell, {key: coeff}, truncation_level=need)
-                assert action(at_cap, n) == action(mono, n)
+        act_current_squared(state, 0)
+    with pytest.raises(TruncationError):
+        act_singlet(state, 0)
 
 
 # ----------------------------------------------------------------------

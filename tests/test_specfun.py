@@ -251,27 +251,27 @@ def test_hyp2f1_second_derivative_shift():
 def test_connection_coeffs_direct_gamma():
     # generic parameters: both coefficients match the explicit gamma ratios
     a, b, c = 0.5, 0.5, 2.3
-    ca, cb = sf.connection_coeffs_01(sf.Hyp2F1Params(a, b, c))
+    ca, cb = sf.connection_coeffs_01(a, b, c)
     g = sf.gamma
     assert_close(ca, g(c) * g(c - a - b) / (g(c - a) * g(c - b)), 1e-13)
     assert_close(cb, g(c) * g(a + b - c) / (g(a) * g(b)), 1e-13)
     # (1/2, 1/2, 2) sits on the degenerate locus c-a-b = 1
     with pytest.raises(DegenerateError):
-        sf.connection_coeffs_01(sf.Hyp2F1Params(0.5, 0.5, 2.0))
+        sf.connection_coeffs_01(0.5, 0.5, 2.0)
 
 
 def test_connection_coeffs_gauss_sum_rule():
     # for c-a-b > 0 the z->1 limit of the first term is the Gauss value:
     # series-at-1 oracle vs coefficient A (terms decay like n^(-1-(c-a-b)))
     a, b, c = 0.3, 0.45, 4.05
-    ca, _ = sf.connection_coeffs_01(sf.Hyp2F1Params(a, b, c))
+    ca, _ = sf.connection_coeffs_01(a, b, c)
     want = series_2f1_oracle(a, b, c, 1.0, terms=30_000)
     assert rel_err(ca, want) < 1e-9
 
 
 def test_connection_coeffs_ab_symmetry():
-    p1 = sf.connection_coeffs_01(sf.Hyp2F1Params(0.3, 0.8, 1.7))
-    p2 = sf.connection_coeffs_01(sf.Hyp2F1Params(0.8, 0.3, 1.7))
+    p1 = sf.connection_coeffs_01(0.3, 0.8, 1.7)
+    p2 = sf.connection_coeffs_01(0.8, 0.3, 1.7)
     assert p1 == p2
 
 
@@ -283,8 +283,7 @@ def test_connection_identity_at_half(rng):
         c = rng.uniform(0.3, 2.5)
         if abs((c - a - b) - round(c - a - b)) < 1e-3:
             continue
-        p = sf.Hyp2F1Params(a, b, c)
-        ca, cb = sf.connection_coeffs_01(p)
+        ca, cb = sf.connection_coeffs_01(a, b, c)
         u = 0.5
         rhs = ca * sf.hyp2f1(a, b, a + b - c + 1, u) + cb * u ** (
             c - a - b
@@ -420,14 +419,10 @@ def test_beta_complete_values():
 
 
 def test_beta_complete_poles_and_regularization():
-    with pytest.raises(PoleError):
-        sf.beta_complete(-1, 0.5)
-    # denominator pole only: regularized value 0
-    assert sf.beta_complete(0.3, -0.3, regularized=True) == 0j
-    # single/single pole ratio: beta(-n, b) with -n + b nonpositive integer
-    got = sf.beta_complete(-2, 1, regularized=True)
-    # oracle: limit of gamma(-2+e)gamma(1)/gamma(-1+e) = (-1)^(2-1) 1!/2!
-    assert_close(got, -0.5, 1e-12)
+    # a pole of Gamma(a), Gamma(b) or Gamma(a+b) each raises
+    for a, b in ((-1, 0.5), (0.5, 0), (0.3, -0.3), (-2, 1)):
+        with pytest.raises(PoleError):
+            sf.beta_complete(a, b)
 
 
 def test_beta_incomplete_basics(rng):
