@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import os
@@ -26,7 +27,7 @@ from . import identities as idn
 from . import kzbpz as kz
 from . import modealg
 from .blocks import PowerSum
-from .errors import GhostCftError
+from .errors import ChargeError, GhostCftError
 from .scalars import all_exact, is_half_odd_integer, parse_charge, to_complex
 
 
@@ -216,6 +217,10 @@ def cmd_residual(args) -> int:
     if args.ell != 1 and args.op in ("kz-m2", "bpz") and len(charges) == 2:
         raise ValueError(f"--op {args.op} on two charges checks the flow-1 two-point "
                          f"function; got --ell {args.ell}")
+    # the charge-shift and BPZ forms assume conservation, sum_i j_i = flow
+    if args.op in ("kz-m2", "kz-m1", "bpz") and not co.charge_conserved(sum(charges) - args.ell):
+        raise ChargeError(f"--op {args.op} assumes charge conservation, j1 + ... + jN = "
+                          f"{args.ell} (the flow); these charges sum to {sum(charges)}")
     if args.op == "ward":
         reports = _ward_reports(charges, args.ell, args.tolerance, args.seed)
     elif args.op == "kz-m2":
@@ -419,7 +424,9 @@ def cmd_modealg_verify(args) -> int:
 # ----------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process; main() runs cmd_<subcommand>."""
     p = argparse.ArgumentParser(
         prog="ghostcft",
         description="Evaluate and verify ghost-system correlators and blocks.",
@@ -451,40 +458,37 @@ def build_parser() -> argparse.ArgumentParser:
     common(sp, "charges", "ell")
     # without --ell a block op runs its own flow; two-point, three-point and
     # selection run flow 1
-    sp.set_defaults(fn=cmd_eval, ell=None)
+    sp.set_defaults(ell=None)
 
     sp = sub.add_parser("residual", help="run a residual sweep")
     sp.add_argument("--op", required=True,
                     choices=("ward", "kz-m2", "kz-m1", "kz-j0", "kz-decoupled",
                              "bpz"))
     common(sp, "charges", "ell", "tolerance", "seed")
-    sp.set_defaults(fn=cmd_residual, tolerance=None)
+    sp.set_defaults(tolerance=None)
 
     sp = sub.add_parser("recurse", help="iterate the charge-shift recursion")
     sp.add_argument("--k", type=int, required=True)
     sp.add_argument("--block", type=int, default=1, choices=(1, 2))
     sp.add_argument("--eta-grid", type=_eta_grid)
     common(sp, "charges", "ell")
-    sp.set_defaults(fn=cmd_recurse)
 
     sp = sub.add_parser("identity-check", help="verify the summation identity")
     sp.add_argument("--k", type=int, default=6)
     sp.add_argument("--draws", type=int, default=50)
     common(sp, "tolerance", "seed")
-    sp.set_defaults(fn=cmd_identity_check)
 
     sp = sub.add_parser("scan", help="emit block values over an eta grid")
     sp.add_argument("--j4", required=True)
     sp.add_argument("--eta-grid", type=_eta_grid, required=True)
     common(sp, "charges", "ell")
-    sp.set_defaults(fn=cmd_scan, ell=2)
+    sp.set_defaults(ell=2)
 
     sp = sub.add_parser("modealg-verify", help="run the mode-algebra suite")
     sp.add_argument("--level", type=int, default=4)
     sp.add_argument("--states", type=int, default=5)
     sp.add_argument("--index-range", type=int, default=2)
     common(sp)
-    sp.set_defaults(fn=cmd_modealg_verify)
 
     return p
 
@@ -503,10 +507,9 @@ def _attach_charges(argv: Sequence[str]) -> List[str]:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(_attach_charges(sys.argv[1:] if argv is None else argv))
+    args = build_parser().parse_args(_attach_charges(sys.argv[1:] if argv is None else argv))
     try:
-        return args.fn(args)
+        return globals()["cmd_" + args.command.replace("-", "_")](args)
     except (GhostCftError, ValueError) as exc:  # bad input; any other raise is a bug
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -27,8 +27,9 @@ class BranchCutError(GhostCftError):
 
 
 class TruncationError(GhostCftError):
-    """A finite mode sum left out a term that does not vanish: the boundary
-    term of the (JJ)_n window."""
+    """A finite mode sum left out a term that does not vanish.  No path
+    raises it: the (JJ)_n sum runs over exactly the pairs that act.  It stays
+    for bench/test_bench.py, which imports it."""
 
 
 class ContextError(GhostCftError):

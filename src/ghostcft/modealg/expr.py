@@ -55,15 +55,33 @@ def bracket_ghost(x: Mode, y: Mode):
     return Fraction(0)
 
 
-def jj_pairs(n: int, w: int):
-    """The distinct terms of (JJ)_n = sum_{|a| <= w} :J_a J_{n-a}: as
-    (lo, hi, multiplicity, at the window edge a = +-w), lo = n - hi <= hi."""
-    pairs: Dict[int, Tuple[int, bool]] = {}
-    for a in range(-w, w + 1):
-        hi = max(a, n - a)
-        mult, edge = pairs.get(hi, (0, False))
-        pairs[hi] = (mult + 1, edge or abs(a) == w)
-    return [(n - hi, hi, mult, edge) for hi, (mult, edge) in pairs.items()]
+def _current_squared(vec: LinComb, n: int, top: int, current) -> LinComb:
+    """(JJ)_n v = sum_a :J_a J_{n-a}: v with current(v, k) = J_k v.
+
+    Each pair acts once, as J_lo J_hi v with the larger index hi acting
+    first, lo = n - hi and weight 2 (1 when lo = hi), for
+    hi = ceil(n/2) .. top.  The sum is exact because J_hi v = 0 for every
+    hi > top:
+
+    - a GhostState whose creators all have |index| <= d takes
+      top = d + max(d, |ell|).  J_hi acts as a derivation; J_hi phi = 0 for
+      hi >= 1, and [J_hi, x] for a creator x of index k >= -d is a mode of
+      index p = hi + k > max(d, |ell|).  Moving right, that mode meets no
+      creator of index -p (|-p| > d) and then annihilates phi_j^ell, since
+      b_p phi = 0 for p > -ell and g_p phi = 0 for p > ell.
+    - a JLVector whose PBW words have grade (sum of |index|) <= g takes
+      top = g.  Every index in a PBW word is negative, so the grade is the
+      L_0 level above |j, h>, and J_hi lowers the level by hi; no vector
+      lies below level 0.
+    """
+    out: Dict = {}
+    for hi in range(-(-n // 2), top + 1):
+        inner = current(vec, hi)
+        if inner.is_zero():
+            continue
+        lo = n - hi
+        accumulate(out, current(inner, lo).terms, 1 if lo == hi else 2)
+    return vec._like(out)
 
 
 def _singlet(vec: LinComb, n: int, virasoro, current_squared, current) -> LinComb:

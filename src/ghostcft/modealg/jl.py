@@ -14,9 +14,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
-from ..errors import TruncationError
-from ..lincomb import LinComb, accumulate
-from .expr import CURRENT, VIRASORO, Mode, _singlet, jj_pairs, mode
+from ..lincomb import LinComb
+from .expr import CURRENT, VIRASORO, Mode, _current_squared, _singlet, mode
 
 _RANK = {CURRENT: 0, VIRASORO: 1}
 
@@ -54,9 +53,6 @@ class JLVector(LinComb):
             body = "*".join(f"{f}[{n}]" for f, n in w) or "1"
             bits.append(f"({self.terms[w]})*{body}|{self.j},{self.h}>")
         return "JLVector[" + " + ".join(bits) + "]"
-
-    def max_depth(self) -> int:
-        return max((abs(n) for w in self.terms for _f, n in w), default=0)
 
 
 def _bracket(x: Mode, y: Mode) -> List[Tuple[Fraction, Optional[Mode]]]:
@@ -129,18 +125,9 @@ def apply_virasoro(vec: JLVector, n: int) -> JLVector:
 
 
 def apply_current_squared(vec: JLVector, n: int) -> JLVector:
-    """(JJ)_n = sum_a :J_a J_{n-a}:, larger index acting first."""
-    w = vec.max_depth() + abs(n) + 4
-    out: Dict[Word, Fraction] = {}
-    for lo, hi, mult, edge in jj_pairs(n, w):
-        inner = apply_current(vec, hi)
-        if inner.is_zero():
-            continue
-        piece = apply_current(inner, lo)
-        if edge and not piece.is_zero():
-            raise TruncationError("JJ window boundary term non-zero")
-        accumulate(out, piece.terms, mult)
-    return vec._like(out)
+    """(JJ)_n = sum_a :J_a J_{n-a}:, the larger index acting first."""
+    grade = max((sum(abs(k) for _f, k in w) for w in vec.terms), default=0)
+    return _current_squared(vec, n, grade, apply_current)
 
 
 def apply_singlet(vec: JLVector, n: int) -> JLVector:

@@ -27,19 +27,20 @@ for n <= -1
     L_n phi_j = ell b_{n-ell} phi_{j-1} + (n+ell) j g_{n+ell} phi_{j+1}
                 + sum_{c=n+ell+1}^{ell-1} c g_c b_{n-c} phi_j.
 
-J and L need no mode window.  (JJ)_n sums :J_a J_{n-a}: over
-|a| <= depth + |n| + |ell| + 6, where depth is the largest |index| of a
-creator in the state; its boundary terms must vanish, else TruncationError.
+No action needs a mode window.  (JJ)_n sums the pairs J_lo J_hi, hi acting
+first, up to hi = d + max(d, |ell|), with d the largest |index| of a creator
+in the state: past that bound J_hi vanishes on the state (the proof is at
+expr._current_squared).
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from ..errors import TruncationError
 from ..lincomb import LinComb, accumulate
 from .expr import (
-    BETA, CURRENT, GAMMA, SINGLET, VIRASORO, Mode, ModeExpr, Word, _singlet, jj_pairs, mode,
+    BETA, CURRENT, GAMMA, SINGLET, VIRASORO, Mode, ModeExpr, Word, _current_squared, _singlet,
+    mode,
 )
 
 Monomial = Tuple[Mode, ...]  # sorted creation modes
@@ -223,19 +224,9 @@ def act_virasoro(state: GhostState, n: int) -> GhostState:
 
 
 def act_current_squared(state: GhostState, n: int) -> GhostState:
-    """(JJ)_n = sum_{|a| <= w} :J_a J_{n-a}:, the larger index acting first,
-    with w = depth + |n| + |ell| + 6."""
-    w = state.max_depth() + abs(n) + abs(state.ell) + 6
-    out: Dict[StateKey, Fraction] = {}
-    for lo, hi, mult, edge in jj_pairs(n, w):
-        inner = act_current(state, hi)
-        if inner.is_zero():
-            continue
-        piece = act_current(inner, lo)
-        if edge and not piece.is_zero():
-            raise TruncationError("JJ window boundary term non-zero")
-        accumulate(out, piece.terms, mult)
-    return state._like(out)
+    """(JJ)_n = sum_a :J_a J_{n-a}:, the larger index acting first."""
+    d = state.max_depth()
+    return _current_squared(state, n, d + max(d, abs(state.ell)), act_current)
 
 
 def act_singlet(state: GhostState, n: int) -> GhostState:
@@ -254,14 +245,8 @@ def act_flowed(state: GhostState, m: Mode, ell: int) -> GhostState:
 
 def creation_modes(ell: int, max_level: int) -> List[Mode]:
     """Creation modes for phi^ell with |L0 grade| = |index| <= max_level."""
-    out: List[Mode] = []
-    for n in range(-ell - 1, -ell - 1 - max_level, -1):
-        if abs(n) <= max_level + abs(ell):
-            out.append(mode(BETA, n))
-    for n in range(ell - 1, ell - 1 - max_level, -1):
-        if abs(n) <= max_level + abs(ell):
-            out.append(mode(GAMMA, n))
-    return out
+    return ([mode(BETA, n) for n in range(-ell - 1, -ell - 1 - max_level, -1)]
+            + [mode(GAMMA, n) for n in range(ell - 1, ell - 1 - max_level, -1)])
 
 
 def basis_states(j, ell: int, max_level: int, max_factors: int = 3) -> List[GhostState]:

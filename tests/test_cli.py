@@ -5,6 +5,8 @@ import json
 import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -226,7 +228,7 @@ def test_configuration_error_exit_code(capsys):
     ["recurse", "--ell", "4", "--charges=0.3,0.4,0.5,-0.2", "--k", "1"],
     # a power that overflows a double, and a companion constant over j2 = 0
     ["residual", "--op", "ward", "--ell", "1", "--charges", "400,-399"],
-    ["residual", "--op", "kz-m2", "--ell", "2", "--charges", "2.645,0/5,1"],
+    ["residual", "--op", "kz-m2", "--ell", "2", "--charges", "1,0/5,1"],
     # powers that each fit a double, with a product that does not
     ["residual", "--op", "ward", "--ell", "2", "--charges=1/2,-0.157,2.091,-210.6753253402907"],
     # scan emits the flow-2 blocks only
@@ -240,6 +242,10 @@ def test_configuration_error_exit_code(capsys):
     ["residual", "--op", "bpz", "--ell", "3", "--charges", "1/2,1/2"],
     ["recurse", "--ell", "1", "--charges", "3/10,2/5,1/2,-1/5", "--k", "1", "--block", "2"],
     ["recurse", "--ell", "3", "--charges", "3/10,2/5,1/2,9/5", "--k", "1", "--block", "2"],
+    # charges that break the conservation the op assumes (sum = flow)
+    ["residual", "--op", "kz-m2", "--charges=-7/4,-9/11,7/6", "--seed", "32"],
+    ["residual", "--op", "kz-m1", "--charges=8/8,-5/3,-9/12"],
+    ["residual", "--op", "bpz", "--ell", "2", "--charges", "0.3,0.4,1/2,0.9"],
 ])
 def test_bad_input_exit_code(capsys, argv):
     assert main(argv) == 2
@@ -275,6 +281,31 @@ def test_nan_residual_fails_its_report(capsys, monkeypatch):
     assert reports["L-1"]["pass"] is False
     assert reports["L-1"]["max_residual"] == float("inf")
     assert code == 1
+
+
+def test_commands_in_one_process_match_each_alone(capsys):
+    # the parser is built once per process; a refused command in between
+    # leaves nothing behind for the next one
+    commands = [
+        ["residual", "--op", "bpz", "--ell", "2", "--charges", "0.3,0.4,1/2,0.8"],
+        ["residual", "--op", "kz-m1", "--charges=8/8,-5/3,-9/12"],
+        ["modealg-verify", "--level", "2", "--states", "2"],
+    ]
+
+    def outcome(argv):
+        code = main(argv)
+        return (code,) + capsys.readouterr()
+
+    together = [outcome(argv) for argv in commands]
+    assert [r[0] for r in together] == [0, 2, 0]
+    script = ("import sys; from ghostcft.cli import main; "
+              "sys.exit(main(sys.argv[1:]))")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH", "")]))
+    for argv, got in zip(commands, together):
+        alone = subprocess.run([sys.executable, "-c", script, *argv], env=env,
+                               capture_output=True, text=True)
+        assert got == (alone.returncode, alone.stdout, alone.stderr), argv
 
 
 def test_programming_error_propagates(monkeypatch):

@@ -4,7 +4,6 @@ from fractions import Fraction
 
 import pytest
 
-from ghostcft.errors import TruncationError
 from ghostcft.modealg import (
     BETA,
     GAMMA,
@@ -31,7 +30,12 @@ from ghostcft.modealg import (
     localized_twist,
 )
 from ghostcft.modealg import checks, states
-from ghostcft.modealg.jl import apply_singlet, apply_virasoro, apply_current
+from ghostcft.modealg.jl import (
+    apply_current,
+    apply_current_squared,
+    apply_singlet,
+    apply_virasoro,
+)
 from ghostcft.modealg.localized import (
     charge_zero_mode_localized,
     virasoro_zero_window,
@@ -160,22 +164,6 @@ def test_commutators_on_flowed_basis():
     assert check_virasoro(sts, Fraction(2), act_virasoro, range(-2, 3))
 
 
-def test_jj_window_boundary_term_raises(monkeypatch):
-    # (JJ)_n sums over a finite window and raises when a term at its edge
-    # does not vanish; narrowed to |a| <= 1, the window of (JJ)_0 on
-    # b_-1 phi has the edge term J_-1 J_1 b_-1 phi, which is not zero
-    state = GhostState(Fraction(1, 3), 0, {(((BETA, -1),), 0): Fraction(1)})
-    assert not act_current(act_current(state, 1), -1).is_zero()
-    full = act_current_squared(state, 0)
-    assert full == _reference_current_squared(state, 0)
-    jj_pairs = states.jj_pairs
-    monkeypatch.setattr(states, "jj_pairs", lambda n, w: jj_pairs(n, 1))
-    with pytest.raises(TruncationError):
-        act_current_squared(state, 0)
-    with pytest.raises(TruncationError):
-        act_singlet(state, 0)
-
-
 # ----------------------------------------------------------------------
 # the derivation-form actions against the windowed bilinear sum
 # ----------------------------------------------------------------------
@@ -215,8 +203,10 @@ def _reference_virasoro(state, n):
 
 
 def _reference_current_squared(state, n):
-    """(JJ)_n = sum_{|a| <= w} :J_a J_{n-a}:, the larger index acting first."""
-    w = _reference_width(state, n) + 2
+    """(JJ)_n = sum_{|a| <= w} :J_a J_{n-a}:, the larger index acting first;
+    J_hi vanishes on the state for hi > 2d + |ell|, so every term with
+    |a| > 2d + |ell| + |n| does."""
+    w = 2 * state.max_depth() + abs(state.ell) + abs(n) + 2
     total = state.scale(0)
     for a in range(-w, w + 1):
         lo, hi = min(a, n - a), max(a, n - a)
@@ -252,6 +242,44 @@ def test_actions_match_windowed_bilinear_sum(ell):
         for n in range(-3, 4):
             assert act_current(state, n) == _reference_current(state, n)
             assert act_virasoro(state, n) == _reference_virasoro(state, n)
+            assert act_current_squared(state, n) == _reference_current_squared(state, n)
+            assert act_singlet(state, n) == _reference_singlet(state, n)
+
+
+def _monomial(*modes, j=Fraction(1, 3), ell=0):
+    return GhostState(j, ell, {(states._sort_monomial(modes), 0): Fraction(1)})
+
+
+@pytest.mark.parametrize("state, n", [
+    (_monomial((BETA, -6), (GAMMA, -6)), -3),
+    (_monomial((BETA, -7), (GAMMA, -7)), -3),
+    (_monomial((BETA, -7), (GAMMA, -6)), 0),
+    (_monomial((BETA, -12), (GAMMA, -11)), 3),
+    (_monomial((BETA, -12), (GAMMA, -11)), 4),
+])
+def test_current_squared_on_deep_states(state, n):
+    # deep creators need pairs J_lo J_hi with |lo| far past depth + |n|
+    assert act_current_squared(state, n) == _reference_current_squared(state, n)
+
+
+def test_current_squared_on_deep_jl_vector():
+    vec = JLVector.highest_weight(Fraction(1, 3), Fraction(2, 7))
+    for _ in range(5):
+        vec = apply_virasoro(vec, -1)
+    # J_a vanishes on a level-5 vector for a > 5, so |a| <= 7 holds every term
+    want = vec.scale(0)
+    for a in range(-7, 8):
+        piece = apply_current(apply_current(vec, max(a, -a)), min(a, -a))
+        assert abs(a) < 7 or piece.is_zero()
+        want = want + piece
+    assert apply_current_squared(vec, 0) == want
+
+
+def test_current_squared_and_singlet_on_seeded_basis_sample(rng):
+    for ell in (-1, 0, 1, 2):
+        basis = basis_states(Fraction(2, 7), ell, max_level=8, max_factors=2)
+        for state in rng.sample(basis, 5):
+            n = rng.randint(-3, 3)
             assert act_current_squared(state, n) == _reference_current_squared(state, n)
             assert act_singlet(state, n) == _reference_singlet(state, n)
 
