@@ -9,10 +9,10 @@ whose like terms merge as a sum is built:
   the charge-shift recursion needs to run in exact rational arithmetic.
   ``canonical()`` picks the unique representative of an exact sum: it splits
   the sum into exponent classes, each eta^P (1-eta)^Q times a polynomial
-  (``classes()``, sorted by class), and reduces each class
-  (``from_classes()``).  The exact recursion steps the polynomial of each
-  class and reduces it the same way, so it carries only the terms of the
-  closed form at any depth.
+  with int coefficients over one int denominator (``classes()``, sorted by
+  class), and reduces each class (``from_classes()``).  The exact recursion
+  steps those int coefficients through all its steps and reduces once at the
+  end, so it returns only the terms of the closed form at any depth.
 
 * BlockSum -- a sum of c * eta^p (1-eta)^q * payload(eta), keyed by
   (p, q, kind, params), where each payload is one of {1, 2F1(a,b;c;eta),
@@ -25,13 +25,25 @@ whose like terms merge as a sum is built:
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
+from itertools import accumulate as prefix_sums
+from math import comb, gcd, lcm
 from typing import Optional, Tuple
 
 from . import specfun
 from .errors import ParamError
 from .lincomb import LinComb
 from .scalars import Scalar, all_exact, as_fraction, cpow, is_exact, to_complex
+
+
+def _strip_zero_ends(nums: list) -> Tuple[int, list]:
+    """(lo, nums[lo:hi]): the coefficients without the zeros at either end,
+    and the number lo of leading zeros dropped."""
+    lo, hi = 0, len(nums)
+    while lo < hi and nums[lo] == 0:
+        lo += 1
+    while hi > lo and nums[hi - 1] == 0:
+        hi -= 1
+    return lo, nums[lo:hi]
 
 
 class PowerSum(LinComb):
@@ -67,8 +79,19 @@ class PowerSum(LinComb):
         return PowerSum(out)
 
     def eval(self, eta: Scalar) -> Scalar:
+        """The sum at eta.  An exact sum at a real float eta is summed per
+        exponent class: the polynomial is evaluated exactly at Fraction(eta)
+        and rounded once, then multiplied by eta^P (1-eta)^Q, so its
+        alternating terms do not cancel in double precision."""
         one_minus = 1 - eta
         total: Scalar = 0
+        if type(eta) is float and self.is_exact():
+            n, d = eta.as_integer_ratio()
+            for p_frac, q_frac, p0, q0, den, nums in self.classes():
+                deg = len(nums) - 1
+                poly = sum(c * n**i * d**(deg - i) for i, c in enumerate(nums)) / (den * d**deg)
+                total = total + poly * cpow(eta, p_frac + p0) * cpow(one_minus, q_frac + q0)
+            return total
         for (p, q), c in self.terms.items():
             total = total + c * cpow(eta, p) * cpow(one_minus, q)
         return total
@@ -99,9 +122,11 @@ class PowerSum(LinComb):
         The monomials eta^p (1-eta)^q are overcomplete across integer
         exponent shifts.  Within a class every term is brought to the
         class-minimal q by expanding surplus (1-eta) powers, so the class is
-        eta^P (1-eta)^Q sum_k a_k eta^k with a_0 != 0; it is returned as
-        (p_frac, q_frac, p0, q0, [a_0, a_1, ...]) with P = p_frac + p0 and
-        Q = q_frac + q0.  A class whose terms cancel is left out."""
+        eta^P (1-eta)^Q sum_k a_k eta^k with a_0 != 0.  It is returned as
+        (p_frac, q_frac, p0, q0, den, nums) with P = p_frac + p0,
+        Q = q_frac + q0 and a_k = nums[k] / den: ``den`` is a positive int,
+        ``nums`` a list of ints, and gcd(den, *nums) = 1.  A class whose
+        terms cancel is left out."""
         # split each exponent once: the class is keyed by the fractional
         # parts, and the loops below work on int offsets alone
         groups: dict = {}
@@ -114,46 +139,41 @@ class PowerSum(LinComb):
         out = []
         for (p_frac, q_frac), entries in sorted(groups.items()):
             q_min = min(q for _p, q, _c in entries)
+            den = lcm(*(c.denominator for _p, _q, c in entries))
             flat: dict = {}
             get = flat.get
             for p, q, c in entries:
                 m = q - q_min
+                num = c.numerator * (den // c.denominator)
                 for i in range(m + 1):
-                    flat[p + i] = get(p + i, 0) + c * comb(m, i)
-                    c = -c
+                    flat[p + i] = get(p + i, 0) + num * comb(m, i)
+                    num = -num
             flat = {p: c for p, c in flat.items() if c != 0}
             if flat:
                 p0 = min(flat)
-                coeffs = [flat.get(p, 0) for p in range(p0, max(flat) + 1)]
-                out.append((p_frac, q_frac, p0, q_min, coeffs))
+                nums = [flat.get(p, 0) for p in range(p0, max(flat) + 1)]
+                g = gcd(den, *nums)
+                out.append((p_frac, q_frac, p0, q_min, den // g, [c // g for c in nums]))
         return out
 
     @classmethod
     def from_classes(cls, classes) -> "PowerSum":
         """The canonical sum of classes given as by ``classes()``, each with
-        any polynomial [a_0, a_1, ...]: zero end coefficients are dropped and
+        any polynomial nums / den: zero end coefficients are dropped and
         every factor (1-eta) of the polynomial is divided out, leaving the
         unique representative that vanishes at neither eta = 0 nor 1."""
         out: dict = {}
-        for p_frac, q_frac, p0, q0, coeffs in classes:
-            lo, hi = 0, len(coeffs)
-            while lo < hi and coeffs[lo] == 0:
-                lo += 1
-            while hi > lo and coeffs[hi - 1] == 0:
-                hi -= 1
-            coeffs = coeffs[lo:hi]
+        for p_frac, q_frac, p0, q0, den, nums in classes:
+            lo, nums = _strip_zero_ends(nums)
             p0 += lo
-            while len(coeffs) > 1 and sum(coeffs) == 0:
-                acc = Fraction(0)
-                quotient = []
-                for c in coeffs[:-1]:
-                    acc += c
-                    quotient.append(acc)
-                coeffs = quotient
+            # A(1) = 0: A(eta) = (1-eta) B(eta) with B_j = a_0 + ... + a_j
+            while len(nums) > 1 and sum(nums) == 0:
+                nums = list(prefix_sums(nums[:-1]))
                 q0 += 1
-            for k, c in enumerate(coeffs):
+            q = q_frac + q0
+            for k, c in enumerate(nums):
                 if c != 0:
-                    out[(p_frac + p0 + k, q_frac + q0)] = c
+                    out[(p_frac + (p0 + k), q)] = Fraction(c, den)
         return cls(out)
 
     def canonical(self) -> "PowerSum":

@@ -270,6 +270,9 @@ def cmd_recurse(args) -> int:
     if args.block == 2 and ell != 2:
         raise ValueError(f"--block 2 picks the second flow-2 block; at --ell {ell} recurse "
                          f"runs the flow-{ell} power block")
+    if not co.charge_conserved(sum(charges) - ell):
+        raise ChargeError(f"recurse assumes charge conservation, j1 + j2 + j3 + j4 = {ell} "
+                          f"(the flow); these charges sum to {sum(charges)}")
     if ell == 1:
         block = kz.FourPointL1Family(Fraction(1) if exact else 1.0).specialized(charges)
     elif ell == 2:

@@ -16,9 +16,11 @@ identification of the specialized shifted correlators, is the input block
 itself (for flow 1 that identification is the displayed equality of
 shifted correlators; it is what reproduces every higher-flow closed form).
 
-On an exact PowerSum with exact charges, a step is a two-term recurrence on
-the eta-polynomial of each exponent class (see ``recursion_step``); a numeric
-sum or a BlockSum takes the generic path through the sum algebra.
+On an exact PowerSum with exact charges, the recursion runs in one integer
+kernel (``_exact_steps``): the sum is split into its exponent classes once,
+a two-term recurrence steps the int coefficients of each class through all k
+steps, and the canonical sum is built once at the end.  A numeric sum or a
+BlockSum takes the generic path through the sum algebra.
 """
 from __future__ import annotations
 
@@ -29,7 +31,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, List, Optional, Tuple, Union
 
-from .blocks import BlockSum, PowerSum, as_blocksum
+from .blocks import BlockSum, PowerSum, _strip_zero_ends, as_blocksum
 from .correlators import (
     GhostPrimary,
     WardForm,
@@ -526,6 +528,56 @@ def threept_shifted_constants(j1, j2, j3, ell: int):
 Block = Union[PowerSum, BlockSum]
 
 
+def _exact_steps(classes, charges, ell: int, k: int) -> list:
+    """k steps of the exact charge-shift recursion on the exponent classes
+    of ``PowerSum.classes()``, charges marching (j3 + t, j4 - t).
+
+    Each class eta^P (1-eta)^Q A(eta), A = nums / den, becomes
+    eta^(P+l) (1-eta)^Q B(eta) with
+
+        B_i = -(1/j3) [(down - i) a_i + (up + i) a_(i-1)],
+        down = b - P,  up = P + Q + a + j2 - 1,
+
+    a = h4l + j1 + (l-1) j2 and b = (l-1) j3.  With down = dn/L and
+    up = un/L over L = lcm of their denominators, and j3 = jn/jd, B is one
+    int list over the denominator den L |jn|, reduced by its gcd.  The
+    factors (1-eta) of B stay in it: ``PowerSum.from_classes`` divides them
+    out of the last step's classes, and its canonical form is unique.
+    """
+    j1, j2, j3, j4 = map(as_fraction, charges)
+    for t in range(k):
+        jt = j3 + t
+        if jt == 0:
+            raise DivisionByZeroCharge("the shifted charge j3 must be non-zero")
+        a_coeff = GhostPrimary(j4 - t, ell).weight + j1 + (ell - 1) * j2
+        b_coeff = (ell - 1) * jt
+        # -(1/j3) = factor / |jn|
+        factor = -jt.denominator if jt > 0 else jt.denominator
+        abs_jn = abs(jt.numerator)
+        stepped = []
+        for p_frac, q_frac, p0, q0, den, nums in classes:
+            p = p_frac + p0
+            down = b_coeff - p
+            up = p + q_frac + q0 + a_coeff + j2 - 1
+            big_l = math.lcm(down.denominator, up.denominator)
+            dn = down.numerator * (big_l // down.denominator)
+            un = up.numerator * (big_l // up.denominator)
+            nums = [factor * ((dn - i * big_l) * c + (un + i * big_l) * prev)
+                    for i, (c, prev) in enumerate(zip(nums + [0], [0] + nums))]
+            den = den * big_l * abs_jn
+            g = math.gcd(den, *nums)
+            lo, nums = _strip_zero_ends(nums)
+            if nums:
+                stepped.append((p_frac, q_frac, p0 + lo + ell, q0, den // g,
+                                [c // g for c in nums]))
+        classes = stepped
+    return classes
+
+
+def _is_exact_powersum(block: Block, charges) -> bool:
+    return isinstance(block, PowerSum) and all_exact(*charges) and block.is_exact()
+
+
 def recursion_step(block: Block, charges, ell: int) -> Block:
     """One step of the specialized charge-shift algorithm:
     (j1, j2, j3, j4) -> (j1, j2, j3+1, j4-1).
@@ -534,18 +586,14 @@ def recursion_step(block: Block, charges, ell: int) -> Block:
     the block itself: the algebraic-KZ identification of the module
     docstring.
 
-    On an exact PowerSum with exact charges a step returns the canonical
-    form, so an exact recursion carries only the terms of its closed form at
-    any depth.  It steps the coefficients of each exponent class
-    eta^P (1-eta)^Q A(eta) of ``PowerSum.classes()`` and reduces the result
-    with ``PowerSum.from_classes()``, building no intermediate sum: the class
-    becomes eta^(P+l) (1-eta)^Q B(eta) with
-
-        B_k = -(1/j3) [(b - P - k) a_k + (P + Q + a + j2 + k - 1) a_(k-1)],
-
-    a = h4l + j1 + (l-1) j2 and b = (l-1) j3.  A numeric sum or a BlockSum
-    takes the generic path through the sum algebra.
+    On an exact PowerSum with exact charges a step is ``_exact_steps`` with
+    k = 1 on ``PowerSum.classes()``, reduced by ``PowerSum.from_classes()``
+    to the canonical form, so an exact recursion carries only the terms of
+    its closed form at any depth.  A numeric sum or a BlockSum takes the
+    generic path through the sum algebra.
     """
+    if _is_exact_powersum(block, charges):
+        return PowerSum.from_classes(_exact_steps(block.classes(), charges, ell, 1))
     j1, j2, j3, j4 = charges
     exact = all_exact(j1, j2, j3, j4) and block.is_exact()
     if j3 == 0:
@@ -559,17 +607,6 @@ def recursion_step(block: Block, charges, ell: int) -> Block:
     a_coeff = GhostPrimary(j4, ell).weight + j1 + (ell - 1) * j2
     b_coeff = (ell - 1) * j3
 
-    if exact and isinstance(block, PowerSum):
-        stepped = []
-        for p_frac, q_frac, p0, q0, coeffs in block.classes():
-            p = p_frac + p0
-            down = b_coeff - p  # b - P - k = down - k
-            up = p + q_frac + q0 + a_coeff + j2 - 1  # P + Q + a + j2 + k - 1 = up + k
-            stepped.append((p_frac, q_frac, p0 + ell, q0, [
-                -inv_j3 * ((down - k) * c + (up + k) * prev)
-                for k, (c, prev) in enumerate(zip(coeffs + [0], [0] + coeffs))]))
-        return PowerSum.from_classes(stepped)
-
     d = block.deriv()
     t = d.mul_power(1) - d  # (eta - 1) G'
     t = t + block.scale(a_coeff)
@@ -582,10 +619,14 @@ def recursion_step(block: Block, charges, ell: int) -> Block:
 def recursion_iterate(block: Block, charges, ell: int, k: int) -> Block:
     """k-fold composition, charges marching (j3 + t, j4 - t).
 
-    An exact PowerSum stays canonical at every step; a numeric BlockSum ends
-    with (k+1)^2 merged terms."""
+    An exact PowerSum with exact charges runs all k steps in
+    ``_exact_steps`` on its classes, split once, and builds the canonical
+    sum once at the end; at k = 0 the block comes back unchanged.  A numeric
+    BlockSum ends with (k+1)^2 merged terms."""
     if k < 0:
         raise ValueError("k must be non-negative")
+    if k and _is_exact_powersum(block, charges):
+        return PowerSum.from_classes(_exact_steps(block.classes(), charges, ell, k))
     j1, j2, j3, j4 = charges
     current = block
     for t in range(k):

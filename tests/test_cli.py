@@ -246,6 +246,7 @@ def test_configuration_error_exit_code(capsys):
     ["residual", "--op", "kz-m2", "--charges=-7/4,-9/11,7/6", "--seed", "32"],
     ["residual", "--op", "kz-m1", "--charges=8/8,-5/3,-9/12"],
     ["residual", "--op", "bpz", "--ell", "2", "--charges", "0.3,0.4,1/2,0.9"],
+    ["recurse", "--ell", "3", "--charges", "1/3,2/7,1/2,1/2", "--k", "2"],
 ])
 def test_bad_input_exit_code(capsys, argv):
     assert main(argv) == 2

@@ -1,4 +1,5 @@
 """Residual engines and the charge-shift recursion."""
+import math
 from fractions import Fraction
 from math import comb
 
@@ -561,6 +562,92 @@ def test_recursion_step_matches_the_generic_step(rng):
         want = _step_reference(block, charges, ell)
         assert repr(list(got.terms.items())) == repr(list(want.terms.items())), (
             block, charges, ell)
+
+
+def _assert_reduced_classes(classes):
+    """The class format of PowerSum.classes(): den > 0, nonzero end
+    coefficients and gcd(den, *nums) = 1."""
+    for _pf, _qf, _p0, _q0, den, nums in classes:
+        assert den > 0 and nums[0] != 0 and nums[-1] != 0
+        assert math.gcd(den, *nums) == 1
+
+
+def test_recursion_iterate_matches_the_stepped_reference(rng):
+    # recursion_iterate carries the class data of an exact sum through all k
+    # steps and reduces once; it must give the k-fold reference step term for
+    # term, and raise where the reference divides by j3 + t = 0
+    third, quarter = Fraction(1, 3), Fraction(1, 4)
+    cases = [
+        (PowerSum.zero(), (third, quarter, half, quarter), 2, 3),
+        (PowerSum.single(Fraction(1), 0), (third, quarter, half, quarter), 1, 14),
+        # one step leaves B = (P/j3)(1-eta): a factor (1-eta) to divide out
+        (PowerSum.single(Fraction(1), third), (half, quarter, half, quarter), 1, 14),
+        (PowerSum({(0, 0): 1, (half, 0): 1}), (third, quarter, half, quarter), 1, 14),
+        (co.block_l3_powersum(third, quarter, 3 - third - quarter - half),
+         (third, quarter, half, 3 - third - quarter - half), 3, 14),
+    ]
+    for _ in range(60):
+        block = _random_step_input(rng)
+        if rng.random() < 0.3:  # int coefficients
+            block = PowerSum({key: c.numerator for key, c in block.terms.items()})
+        j1, j2, j3, j4 = _random_step_charges(rng)
+        if rng.random() < 0.25:  # j3 + t = 0 at t = -j3, inside the run
+            j3 = -rng.randint(0, 12)
+            j3 = j3 if rng.random() < 0.5 else Fraction(j3)
+        cases.append((block, (j1, j2, j3, j4), rng.randint(1, 3), rng.randint(0, 14)))
+    n_classes = [len(block.classes()) for block, _c, _l, _k in cases]
+    assert n_classes.count(0) > 2 and n_classes.count(1) > 30 and max(n_classes) > 2
+    raised = 0
+    for block, charges, ell, k_max in cases:
+        j1, j2, j3, j4 = charges
+        _assert_reduced_classes(block.classes())
+        want, zero_at = block, None
+        for k in range(max(k_max, 1) + 1):
+            if k:
+                t = k - 1
+                if zero_at is None and j3 + t == 0:
+                    zero_at = t
+                if zero_at is None:
+                    want = _step_reference(want, (j1, j2, j3 + t, j4 - t), ell)
+            if zero_at is not None:
+                with pytest.raises(DivisionByZeroCharge,
+                                   match="the shifted charge j3 must be non-zero"):
+                    kz.recursion_iterate(block, charges, ell, k)
+                raised += 1
+                continue
+            got = kz.recursion_iterate(block, charges, ell, k)
+            assert repr(list(got.terms.items())) == repr(list(want.terms.items())), (
+                block, charges, ell, k)
+            if k:
+                _assert_reduced_classes(kz._exact_steps(block.classes(), charges, ell, k))
+    assert raised > 100
+
+
+def test_exact_recursion_eval_at_float_eta_matches_mpmath(rng):
+    # PowerSum.eval sums an exact sum per exponent class, with the polynomial
+    # evaluated exactly and rounded once; a termwise double sum of the
+    # alternating coefficients lost up to 6e-12 relative on these sets
+    import mpmath as mp
+
+    def mpf(x):
+        x = Fraction(x)
+        return mp.mpf(x.numerator) / x.denominator
+
+    worst = 0.0
+    with mp.workdps(50):
+        for _ in range(60):
+            j1, j2 = Fraction(rng.randint(1, 19), 20), Fraction(rng.randint(1, 19), 20)
+            while (2 * j1 + j2).denominator == 1:
+                j2 = Fraction(rng.randint(1, 19), 20)
+            j4 = 3 - j1 - j2 - half
+            out = kz.recursion_iterate(co.block_l3_powersum(j1, j2, j4), (j1, j2, half, j4),
+                                       3, rng.randint(0, 9))
+            for eta in (0.1, 0.2, 0.3, 0.4):
+                e = mp.mpf(eta)
+                want = mp.fsum(mpf(c) * e ** mpf(p) * (1 - e) ** mpf(q)
+                               for (p, q), c in out.terms.items())
+                worst = max(worst, float(abs(mp.mpc(out.eval(eta)) - want) / abs(want)))
+    assert worst < 2e-14
 
 
 def test_report_json_schema():
