@@ -20,17 +20,20 @@ whose like terms merge as a sum is built:
   (payload derivatives shift parameters), so the recursion and the
   second-order BPZ operator evaluate analytically, with no finite
   differencing; a k-step numeric recursion carries (k+1)^2 merged terms
-  (a numeric sum has no canonical form).
+  (a numeric sum has no canonical form).  ``values_at`` evaluates a
+  sequence of sums at one eta and evaluates each distinct payload once,
+  in a payload dict its caller owns: ``BlockSum.value`` passes a fresh one,
+  and ``correlators.WardForm`` keeps one per eta for H, H' and H''.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import accumulate as prefix_sums
 from math import comb, gcd, lcm
-from typing import Optional, Tuple
+from typing import Optional, Sequence, Tuple
 
 from . import specfun
-from .errors import ParamError
+from .errors import ParamError, PoleError
 from .lincomb import LinComb
 from .scalars import Scalar, all_exact, as_fraction, cpow, is_exact, to_complex
 
@@ -223,6 +226,35 @@ def _payload_value(kind: str, params: Tuple[Scalar, ...], eta: Scalar) -> Scalar
     raise ParamError(f"unknown payload kind {kind!r}")
 
 
+def values_at(sums: Sequence["BlockSum"], eta: Scalar, payloads: dict) -> list:
+    """The value of each sum in ``sums`` at eta, as a list of complex.
+
+    ``payloads``, owned by the caller, holds payloads at this eta only,
+    keyed by (kind, params, the types of params); each is evaluated the
+    first time a term of any sum needs it.  The types are in the key
+    because an exact parameter can take another route through ``specfun``
+    than an equal float.  Each term is c * eta^p, times (1-eta)^q when
+    q != 0, times its payload, added in the order of the sum."""
+    one_minus = 1 - to_complex(eta)
+    out = []
+    for bs in sums:
+        total = 0j
+        for (p, q, kind, params), c in bs.terms.items():
+            # a factor (1-eta)^0 or a payload 1 is skipped, not multiplied in
+            term = c * cpow(eta, p)
+            if q != 0:
+                term = term * cpow(one_minus, q)
+            if kind != "pow":
+                key = (kind, params, tuple(map(type, params)))
+                payload = payloads.get(key)
+                if payload is None:
+                    payload = payloads[key] = _payload_value(kind, params, eta)
+                term = term * payload
+            total += term  # an exact term converts to complex here
+        out.append(total)
+    return out
+
+
 class BlockSum(LinComb):
     """Sum of c * eta^p (1-eta)^q * payload(eta) keyed by (p, q, kind,
     params); closed under d/deta and prefactor shifts."""
@@ -272,9 +304,15 @@ class BlockSum(LinComb):
                 add((p, q - 1, kind, params), -c * q)
             if kind == "2f1":
                 a, b, cc = params
+                if cc == 0:
+                    raise PoleError(f"d/deta of the payload 2F1({a}, {b}; {cc}; eta) "
+                                    "divides by its lower parameter c = 0")
                 add((p, q, "2f1", (a + 1, b + 1, cc + 1)), c * a * b / cc)
             elif kind == "3f2w":
                 a1, a2, a3, b1, b2 = params
+                if b1 * b2 == 0:
+                    raise PoleError(f"d/deta of the payload 3F2({a1}, {a2}, {a3}; {b1}, {b2}; "
+                                    "-eta/(1-eta)) divides by its lower parameters b1 * b2 = 0")
                 # d/deta 3F2(w(eta)) = 3F2'(w) * w'(eta), w' = -1/(1-eta)^2
                 add((p, q - 2, "3f2w", (a1 + 1, a2 + 1, a3 + 1, b1 + 1, b2 + 1)),
                     -(c * a1 * a2 * a3 / (b1 * b2)))
@@ -284,17 +322,10 @@ class BlockSum(LinComb):
         return BlockSum(out)
 
     def value(self, eta: Scalar) -> complex:
-        one_minus = 1 - to_complex(eta)
-        total = 0j
-        for (p, q, kind, params), c in self.terms.items():
-            # a factor (1-eta)^0 or a payload 1 is skipped, not multiplied in
-            term = c * cpow(eta, p)
-            if q != 0:
-                term = term * cpow(one_minus, q)
-            if kind != "pow":
-                term = term * _payload_value(kind, params, eta)
-            total += term  # an exact term converts to complex here
-        return total
+        """The sum at eta, as a complex.  A payload that several terms
+        share, at different (p, q), is evaluated once; nothing is kept
+        between calls."""
+        return values_at((self,), eta, {})[0]
 
     def exact_value_terminating(self, eta: Scalar):
         """Exact evaluation when every payload terminates and inputs are exact."""

@@ -496,21 +496,21 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _attach_charges(argv: Sequence[str]) -> List[str]:
-    """argv with "--charges -0.3,1.3" written as "--charges=-0.3,1.3":
-    argparse takes a value that starts with '-' for an option unless it is a
-    single negative number."""
+def _attach_lists(argv: Sequence[str]) -> List[str]:
+    """argv with the comma lists "--charges -0.3,1.3" and "--eta-grid
+    -0.5,0.9,3" written as "--charges=-0.3,1.3": argparse takes a value that
+    starts with '-' for an option unless it is a single negative number."""
     out: List[str] = []
     for tok in argv:
-        if out and out[-1] == "--charges" and re.match(r"-[\d.]", tok):
-            out[-1] = f"--charges={tok}"
+        if out and out[-1] in ("--charges", "--eta-grid") and re.match(r"-[\d.]", tok):
+            out[-1] = f"{out[-1]}={tok}"
         else:
             out.append(tok)
     return out
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = build_parser().parse_args(_attach_charges(sys.argv[1:] if argv is None else argv))
+    args = build_parser().parse_args(_attach_lists(sys.argv[1:] if argv is None else argv))
     try:
         return globals()["cmd_" + args.command.replace("-", "_")](args)
     except (GhostCftError, ValueError) as exc:  # bad input; any other raise is a bug

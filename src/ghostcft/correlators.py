@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
 from . import specfun
-from .blocks import BlockSum, PowerSum, as_blocksum
+from .blocks import BlockSum, PowerSum, as_blocksum, values_at
 from .errors import (
     ChargeError,
     DegenerateError,
@@ -597,7 +597,13 @@ class WardForm:
 
     charges/weights are the zero-mode data of the N fields; H is a BlockSum
     (constant for N < 4).  Values and derivatives evaluate anywhere off the
-    coincidence divisor."""
+    coincidence divisor.
+
+    ``value``, ``d`` and ``d2`` take H, H' and H'' at eta from one
+    ``blocks.values_at`` loop and share its payloads: the form remembers the
+    payloads at the eta of its last call only, and a call at another eta
+    replaces them.  So the calls of one residual point evaluate each
+    distinct payload of H, H' and H'' once."""
 
     def __init__(self, charges, weights, h_block: Optional[BlockSum] = None,
                  exponents=None):
@@ -608,8 +614,12 @@ class WardForm:
             exponents if exponents is not None else ward_exponents(charges, weights)
         )
         self.h = as_blocksum(h_block) if h_block is not None else BlockSum.constant(1)
-        self._h1 = self.h.deriv()
-        self._h2 = self._h1.deriv()
+        h1 = self.h.deriv()
+        self._jet = (self.h, h1, h1.deriv())
+        # the payloads of the jet at the last eta, keyed by its repr, which
+        # tells the two signed zeros of Im eta (the sides of [1, oo)) apart
+        self._eta_key = None
+        self._payloads: dict = {}
         if self.n < 4:
             # no cross ratio: H must be a constant, frozen here
             if any(key != _CONSTANT_KEY for key in self.h.terms):
@@ -617,6 +627,13 @@ class WardForm:
             self._const = to_complex(self.h.terms.get(_CONSTANT_KEY, 0))
 
     # -- helpers ----------------------------------------------------------
+    def _h_jet(self, eta: complex, order: int) -> list:
+        """[H, H', H''][:order + 1] at eta."""
+        key = repr(eta)
+        if key != self._eta_key:
+            self._eta_key, self._payloads = key, {}
+        return values_at(self._jet[:order + 1], eta, self._payloads)
+
     @staticmethod
     def _eta(ws):
         return ((ws[0] - ws[1]) * (ws[2] - ws[3])) / ((ws[0] - ws[2]) * (ws[1] - ws[3]))
@@ -658,7 +675,8 @@ class WardForm:
         if self.n < 4:
             return self._const * pre
         eta = self._eta(ws)
-        return self.h.value(eta) * pre
+        (hval,) = self._h_jet(eta, 0)
+        return hval * pre
 
     def d(self, i: int, ws) -> complex:
         ws = [to_complex(w) for w in ws]
@@ -668,8 +686,7 @@ class WardForm:
             return self._const * dlog * pre
         eta = self._eta(ws)
         lam = self._log_derivative(_ETA_EXPONENTS, i, ws)
-        hval = self.h.value(eta)
-        hder = self._h1.value(eta)
+        hval, hder = self._h_jet(eta, 1)
         return (hder * eta * lam + hval * dlog) * pre
 
     def d2(self, i: int, ws) -> complex:
@@ -684,9 +701,7 @@ class WardForm:
         lam_p = self._log_derivative_prime(_ETA_EXPONENTS, i, ws)
         eta_i = eta * lam
         eta_ii = eta * (lam * lam + lam_p)
-        h0 = self.h.value(eta)
-        h1 = self._h1.value(eta)
-        h2 = self._h2.value(eta)
+        h0, h1, h2 = self._h_jet(eta, 2)
         return (
             h2 * eta_i * eta_i
             + h1 * (eta_ii + 2 * eta_i * dlog)

@@ -103,7 +103,7 @@ def cpow(w: Scalar, p: Scalar) -> Scalar:
             if n >= 0:
                 return wf**n
             if wf == 0:
-                raise ZeroDivisionError("0 ** negative power")
+                raise ParamError(f"w ** p has no finite value at w = {w}, p = {p}")
             return Fraction(1) / wf**(-n)
     wc = to_complex(w)
     pc = to_complex(p)
@@ -112,7 +112,7 @@ def cpow(w: Scalar, p: Scalar) -> Scalar:
             return 0j
         if pc == 0:
             return 1 + 0j
-        raise ZeroDivisionError("0 ** nonpositive power")
+        raise ParamError(f"w ** p has no finite value at w = {w}, p = {p}")
     try:
         return cmath.exp(pc * cmath.log(wc))
     except OverflowError:

@@ -5,7 +5,12 @@ from fractions import Fraction
 import pytest
 
 from conftest import assert_close
-from ghostcft.blocks import BlockSum, PowerSum, as_blocksum, exact_series
+from ghostcft import correlators as co
+from ghostcft import kzbpz as kz
+from ghostcft.blocks import (BlockSum, PowerSum, _payload_value, as_blocksum, exact_series,
+                             values_at)
+from ghostcft.errors import GhostCftError, PoleError
+from ghostcft.scalars import cpow, to_complex
 
 half = Fraction(1, 2)
 
@@ -240,3 +245,94 @@ def test_exact_series_detects_incompatible_offsets():
     )
     with pytest.raises(ValueError):
         exact_series(ps, 4)
+
+
+def _value_reference(bs, eta):
+    """BlockSum.value term by term, each payload evaluated afresh: the
+    reference the shared-payload loop must match bit for bit."""
+    one_minus = 1 - to_complex(eta)
+    total = 0j
+    for (p, q, kind, params), c in bs.terms.items():
+        term = c * cpow(eta, p)
+        if q != 0:
+            term = term * cpow(one_minus, q)
+        if kind != "pow":
+            term = term * _payload_value(kind, params, eta)
+        total += term
+    return total
+
+
+def _outcome(fn, *args):
+    """repr of the result, or the type and message of the raise."""
+    try:
+        return repr(fn(*args))
+    except GhostCftError as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _recursed_blocks(rng):
+    """Numeric recursion outputs at flows 2 and 3 and depths 0 to 4."""
+    for ell in (2, 3):
+        j1, j2 = rng.uniform(0.1, 0.6), rng.uniform(0.1, 0.6)
+        charges = (j1, j2, half, ell - j1 - j2 - 0.5)
+        for block in co.fourpoint_blocksums(ell, j1, j2, charges[3]):
+            for k in range(5):
+                yield kz.recursion_iterate(as_blocksum(block), charges, ell, k)
+
+
+def test_blocksum_value_matches_the_termwise_reference(rng):
+    a, b, c = rng.uniform(-1, 1), rng.uniform(-1, 1), rng.uniform(1.2, 2)
+    shared = (
+        # one payload of each kind at several (p, q)
+        BlockSum.hyp2f1(1.3, 0.5, 0, a, b, c) + BlockSum.hyp2f1(-0.7, 1.5, 0.25, a, b, c)
+        + BlockSum.hyp2f1(0.2, -0.5, 1, a + 1, b + 1, c + 1)
+        + BlockSum.hyp3f2w(0.9, 0.1, 0.3, (a, b, 0.5), (c, 1.7))
+        + BlockSum.hyp3f2w(-1.1, 1.1, -0.2, (a, b, 0.5), (c, 1.7))
+        + BlockSum.incomplete_beta(0.4, 0, 0.5, 0.8, 1.4)
+        + BlockSum.incomplete_beta(0.6, 1, 0, 0.8, 1.4)
+        + BlockSum.power(2.0, 0.3, 0)
+    )
+    mixed = BlockSum({  # equal-valued exact and float parameters
+        (0, 0, "2f1", (half, Fraction(1, 3), Fraction(3, 2))): 1,
+        (1, 0, "2f1", (0.5, Fraction(1, 3), 1.5)): 1,
+        (half, 1, "2f1", (Fraction(-2), half, Fraction(3, 2))): Fraction(2, 3),
+        (Fraction(3, 2), 1, "2f1", (-2.0, 0.5, 1.5)): Fraction(2, 3),
+        # at an exact eta these two payloads differ in the last bit
+        (2, 0, "2f1", (Fraction(3, 8), Fraction(-4), Fraction(7, 4))): 1,
+        (3, 0, "2f1", (0.375, -4.0, 1.75)): 1,
+    })
+    pow_only = PowerSum({(Fraction(rng.randint(-3, 3), 4), Fraction(rng.randint(-2, 2), 3)):
+                         Fraction(rng.randint(1, 9), 7) for _ in range(6)}).to_blocksum()
+    pow_float = PowerSum({(rng.uniform(-1, 2), rng.uniform(-1, 1)): rng.uniform(-2, 2)
+                          for _ in range(6)}).to_blocksum()
+    sums = [shared, shared.deriv(), mixed, pow_only, pow_float, *_recursed_blocks(rng)]
+    for bs in sums:
+        for eta in (0.3, 0.71, 0.4 + 0.2j, complex(1.6, -0.0), Fraction(1, 3), Fraction(9, 10)):
+            if type(eta) is Fraction and bs is not mixed and not bs.is_exact():
+                continue
+            assert _outcome(bs.value, eta) == _outcome(_value_reference, bs, eta), (bs.terms, eta)
+    # one loop over several sums shares their payloads and keeps every bit
+    for eta in (0.3, 0.4 + 0.2j):
+        jet = [shared, shared.deriv(), shared.deriv().deriv()]
+        assert list(map(repr, values_at(jet, eta, {}))) == [
+            repr(_value_reference(bs, eta)) for bs in jet]
+
+
+def test_exact_sum_at_an_exact_eta_keeps_exact_payloads():
+    eta = Fraction(1, 3)
+    bs = (BlockSum.hyp2f1(Fraction(3, 4), 1, 0, Fraction(-3), half, Fraction(5, 2))
+          + BlockSum.hyp2f1(Fraction(-1, 5), 2, 1, Fraction(-3), half, Fraction(5, 2))
+          + BlockSum.power(Fraction(7, 3), Fraction(-1), 2))
+    payloads: dict = {}
+    (got,) = values_at([bs], eta, payloads)
+    assert repr(got) == repr(bs.value(eta)) == repr(_value_reference(bs, eta))
+    assert len(payloads) == 1
+    assert all(type(v) is Fraction for v in payloads.values())
+    assert_close(got, bs.exact_value_terminating(eta), 1e-15)
+
+
+def test_deriv_refuses_a_zero_lower_parameter():
+    with pytest.raises(PoleError, match="c = 0"):
+        BlockSum.hyp2f1(1, 0, 0, Fraction(-6), Fraction(17, 2), Fraction(0)).deriv()
+    with pytest.raises(PoleError, match="b1 \\* b2 = 0"):
+        BlockSum.hyp3f2w(1.0, 0, 0, (0.3, 0.4, 0.5), (1.2, 0.0)).deriv()

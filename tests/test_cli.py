@@ -196,6 +196,19 @@ def test_negative_charges_need_no_equals_sign(capsys, argv):
     assert (code, out) == run(capsys, *joined)
 
 
+@pytest.mark.parametrize("argv", [
+    ["recurse", "--ell", "2", "--charges", "0.3,0.4,1/2,0.8", "--k", "2",
+     "--eta-grid", "-0.5,0.9,3"],
+    ["scan", "--charges", "0.3,0.4", "--j4", "0.8", "--eta-grid", "-0.5,0.9,3"],
+])
+def test_negative_eta_grid_needs_no_equals_sign(capsys, argv):
+    i = argv.index("--eta-grid")
+    joined = argv[:i] + [f"--eta-grid={argv[i + 1]}"] + argv[i + 2:]
+    code, out = run(capsys, *argv)
+    assert code == 0
+    assert (code, out) == run(capsys, *joined)
+
+
 def test_usage_error_exit_code(capsys):
     for argv in (
         ["residual", "--op", "nonsense", "--charges", "1"],
@@ -247,6 +260,13 @@ def test_configuration_error_exit_code(capsys):
     ["residual", "--op", "kz-m1", "--charges=8/8,-5/3,-9/12"],
     ["residual", "--op", "bpz", "--ell", "2", "--charges", "0.3,0.4,1/2,0.9"],
     ["recurse", "--ell", "3", "--charges", "1/3,2/7,1/2,1/2", "--k", "2"],
+    # a recursion step differentiates a 2F1 payload whose lower parameter is 0
+    ["recurse", "--ell", "2", "--charges=15,-5,1/2,-17/2", "--k", "9"],
+    ["recurse", "--ell", "2", "--charges=-37/4,-7/4,39/2,-13/2", "--k", "9",
+     "--eta-grid", "0.05,0.95,4"],
+    # 0 ** p with Re p < 0 at eta = 1
+    ["recurse", "--ell", "3", "--charges=0.083252,1.856,0.5,0.560748", "--k", "1",
+     "--eta-grid", "0.2,1.0,3"],
 ])
 def test_bad_input_exit_code(capsys, argv):
     assert main(argv) == 2

@@ -492,3 +492,61 @@ def test_bra_limit_scaling_convention():
     vals = [co.specialize_wardform_numeric(F, 0.37, w1) for w1 in (1e5, 1e7)]
     want = blk.value(0.37)
     assert abs(vals[1] - want) < abs(vals[0] - want) < 1e-3 * abs(want)
+
+
+# ----------------------------------------------------------------------
+# shared payloads: one H-jet per eta
+# ----------------------------------------------------------------------
+
+_FLOW2 = (0.3, 0.4, half, 0.8)
+
+
+def _flow2_form():
+    j1, j2, j3, j4 = _FLOW2
+    return co.unspecialize_block(co.fourpoint_blocksums(2, j1, j2, j4)[0], *_FLOW2, 2)
+
+
+def test_ward_form_matches_a_fresh_form_in_any_call_order():
+    from ghostcft.kzbpz import sample_insertions
+
+    ws1, ws2 = sample_insertions(4)[:2]
+    # eta = 1.6 on the cut [1, oo), reached from above and from below: the
+    # memo must tell the two signed zeros of Im eta apart
+    below = [complex(-3.0, 0.0), complex(1.0, 0.0), complex(2.0, 0.0), complex(0.0, 0.0)]
+    above = [complex(-3.0, -0.0), complex(1.0, 0.0), complex(2.0, -0.0), complex(0.0, -0.0)]
+    calls = {"value": lambda f, ws: f.value(ws),
+             "d": lambda f, ws: [f.d(i, ws) for i in range(4)],
+             "d2": lambda f, ws: [f.d2(i, ws) for i in range(4)]}
+    for points in ((ws1, ws2, ws1), (below, above, below)):
+        for order in (("d2", "value", "d"), ("value", "d", "d2")):
+            form = _flow2_form()
+            for ws in points:
+                for name in order:
+                    assert repr(calls[name](form, ws)) == repr(calls[name](_flow2_form(), ws))
+
+
+def test_each_payload_is_evaluated_once_per_eta(monkeypatch):
+    from ghostcft import kzbpz as kz
+
+    seen = []
+    hyp2f1 = sf.hyp2f1
+
+    def counted(*args):
+        seen.append(args)
+        return hyp2f1(*args)
+
+    def calls(run):
+        seen.clear()
+        run()
+        return len(seen)
+
+    monkeypatch.setattr(sf, "hyp2f1", counted)
+    points = kz.sample_insertions(4)
+    form = _flow2_form()
+    # 3 payloads per point: 2F1(a + m, b + m; c + m) for m = 0, 1, 2
+    assert calls(lambda: kz.bpz_residual(form, 2, form.charges, form.weights, points)) == 15
+    form = _flow2_form()
+    assert calls(lambda: kz.ward_residuals(form, form.charges, form.weights, points)) == 10
+    j1, j2, _j3, j4 = _FLOW2
+    recursed = kz.recursion_iterate(co.fourpoint_blocksums(2, j1, j2, j4)[0], _FLOW2, 2, 3)
+    assert calls(lambda: recursed.value(0.3)) == 4
