@@ -27,7 +27,7 @@ from . import identities as idn
 from . import kzbpz as kz
 from . import modealg
 from .blocks import PowerSum
-from .errors import ChargeError, GhostCftError
+from .errors import ChargeError, GhostCftError, UnsupportedShape
 from .scalars import all_exact, is_half_odd_integer, parse_charge, to_complex
 
 
@@ -391,6 +391,12 @@ def cmd_scan(args) -> int:
 
 
 def cmd_modealg_verify(args) -> int:
+    # below these bounds the report would pass on an empty level, state list
+    # or index window
+    for flag, value, least in (("--level", args.level, 0), ("--states", args.states, 1),
+                               ("--index-range", args.index_range, 0)):
+        if value < least:
+            raise UnsupportedShape(f"modealg-verify needs {flag} >= {least}; got {value}")
     level = args.level
     rep = modealg.chi_null_check()
     states = modealg.basis_states(Fraction(1, 3), 0, max_level=level, max_factors=2)

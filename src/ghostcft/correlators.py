@@ -599,11 +599,12 @@ class WardForm:
     (constant for N < 4).  Values and derivatives evaluate anywhere off the
     coincidence divisor.
 
-    ``value``, ``d`` and ``d2`` take H, H' and H'' at eta from one
-    ``blocks.values_at`` loop and share its payloads: the form remembers the
-    payloads at the eta of its last call only, and a call at another eta
-    replaces them.  So the calls of one residual point evaluate each
-    distinct payload of H, H' and H'' once."""
+    ``value``, ``d`` and ``d2`` take H, H' and H'' at eta from
+    ``blocks.values_at`` and share its payloads: the form remembers the
+    payloads and the values of H, H' and H'' at the eta of its last call
+    only, and a call at another eta replaces them.  So the calls of one
+    residual point sum each of H, H' and H'' at most once and evaluate each
+    distinct payload once."""
 
     def __init__(self, charges, weights, h_block: Optional[BlockSum] = None,
                  exponents=None):
@@ -616,10 +617,12 @@ class WardForm:
         self.h = as_blocksum(h_block) if h_block is not None else BlockSum.constant(1)
         h1 = self.h.deriv()
         self._jet = (self.h, h1, h1.deriv())
-        # the payloads of the jet at the last eta, keyed by its repr, which
-        # tells the two signed zeros of Im eta (the sides of [1, oo)) apart
+        # the payloads and values of the jet at the last eta, keyed by its
+        # repr, which tells the two signed zeros of Im eta (the sides of
+        # [1, oo)) apart
         self._eta_key = None
         self._payloads: dict = {}
+        self._values: list = []
         if self.n < 4:
             # no cross ratio: H must be a constant, frozen here
             if any(key != _CONSTANT_KEY for key in self.h.terms):
@@ -631,8 +634,11 @@ class WardForm:
         """[H, H', H''][:order + 1] at eta."""
         key = repr(eta)
         if key != self._eta_key:
-            self._eta_key, self._payloads = key, {}
-        return values_at(self._jet[:order + 1], eta, self._payloads)
+            self._eta_key, self._payloads, self._values = key, {}, []
+        have = len(self._values)
+        if have <= order:
+            self._values += values_at(self._jet[have:order + 1], eta, self._payloads)
+        return self._values[:order + 1]
 
     @staticmethod
     def _eta(ws):

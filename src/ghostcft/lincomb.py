@@ -39,6 +39,13 @@ class LinComb:
         """A sum over the same base with the given terms."""
         return type(self)(terms)
 
+    def _sum(self, parts) -> "LinComb":
+        """sum of factor * lc over the (lc, factor) pairs, a sum like self."""
+        out: Dict = {}
+        for lc, factor in parts:
+            accumulate(out, lc.terms, factor)
+        return self._like(out)
+
     def is_zero(self) -> bool:
         return not self.terms
 

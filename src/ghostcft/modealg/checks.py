@@ -12,6 +12,7 @@ from . import jl
 from .expr import BETA, GAMMA, Mode, ModeExpr, mode
 from .states import (
     GhostState,
+    _memoised,
     act,
     act_current,
     act_flowed,
@@ -100,13 +101,23 @@ def _brackets_hold(states: Iterable[GhostState], index_range, x: Action, y: Acti
                    want: Callable[[GhostState, int, int], Optional[GhostState]]) -> bool:
     """[X_m, Y_n] s == want(s, m, n) for every state s and m, n in
     index_range, with X_m = x(., m) and Y_n = y(., n); a want of None skips
-    the pair."""
-    for s in states:
-        for m in index_range:
-            for n in index_range:
-                expected = want(s, m, n)
-                if expected is not None and x(y(s, n), m) - y(x(s, m), n) != expected:
-                    return False
+    the pair.  X_m s and Y_n s are computed once per state, and J and L
+    remember their action on each monomial for this call only."""
+    with _memoised():
+        for s in states:
+            xs: dict = {}
+            ys: dict = {}
+            for m in index_range:
+                for n in index_range:
+                    expected = want(s, m, n)
+                    if expected is None:
+                        continue
+                    if m not in xs:
+                        xs[m] = x(s, m)
+                    if n not in ys:
+                        ys[n] = y(s, n)
+                    if x(ys[n], m) - y(xs[m], n) != expected:
+                        return False
     return True
 
 

@@ -74,24 +74,21 @@ def _current_squared(vec: LinComb, n: int, top: int, current) -> LinComb:
       L_0 level above |j, h>, and J_hi lowers the level by hi; no vector
       lies below level 0.
     """
-    out: Dict = {}
+    parts = []
     for hi in range(-(-n // 2), top + 1):
         inner = current(vec, hi)
         if inner.is_zero():
             continue
         lo = n - hi
-        accumulate(out, current(inner, lo).terms, 1 if lo == hi else 2)
-    return vec._like(out)
+        parts.append((current(inner, lo), 1 if lo == hi else 2))
+    return vec._sum(parts)
 
 
 def _singlet(vec: LinComb, n: int, virasoro, current_squared, current) -> LinComb:
     """Ls_n v = L_n v + (1/2)(JJ)_n v - ((n+1)/2) J_n v, with each composite
     acting as action(v, n)."""
-    out: Dict = {}
-    accumulate(out, virasoro(vec, n).terms)
-    accumulate(out, current_squared(vec, n).terms, Fraction(1, 2))
-    accumulate(out, current(vec, n).terms, Fraction(-(n + 1), 2))
-    return vec._like(out)
+    return vec._sum(((virasoro(vec, n), 1), (current_squared(vec, n), Fraction(1, 2)),
+                     (current(vec, n), Fraction(-(n + 1), 2))))
 
 
 _FAMILY_ORDER = {BETA: 0, GAMMA: 1}

@@ -31,10 +31,25 @@ No action needs a mode window.  (JJ)_n sums the pairs J_lo J_hi, hi acting
 first, up to hi = d + max(d, |ell|), with d the largest |index| of a creator
 in the state: past that bound J_hi vanishes on the state (the proof is at
 expr._current_squared).
+
+Arithmetic runs on integers.  A state keeps its exact ``Fraction`` terms
+and, built once, its integer form: one denominator den > 0 and an int
+numerator per term, with gcd(den, numerators) = 1.  For j = p/q every
+coefficient of J_n or L_n on one monomial times phi_{j+k}^ell lies in
+Z/(2q), so that unit action is a list of int numerators over 2q; an action
+sums them against the state's numerators and reduces once.  Sums, scalings
+and the (JJ)_n and Ls_n combinations add integer forms over a common
+denominator.  Within one bracket check (checks._brackets_hold) the unit
+actions are memoised per (J or L, n, j, ell, monomial, k); the memo is
+dropped when the check returns or raises.  Outside a check nothing is
+remembered.
 """
 from __future__ import annotations
 
+from contextlib import contextmanager
+from contextvars import ContextVar
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from ..lincomb import LinComb, accumulate
@@ -58,12 +73,12 @@ class GhostState(LinComb):
     coefficient of creators * phi_{j+k}^ell.
     """
 
-    __slots__ = ("j", "ell")
-    exact = True
+    __slots__ = ("j", "ell", "_ints")
 
     def __init__(self, j, ell: int = 0, terms: Optional[Dict[StateKey, Fraction]] = None):
         self.j = Fraction(j)
         self.ell = int(ell)
+        self._ints = None
         LinComb.__init__(self, terms)
 
     @classmethod
@@ -89,6 +104,49 @@ class GhostState(LinComb):
 
     def __repr__(self) -> str:
         return f"GhostState[{self.to_text()}]"
+
+    def _integer_form(self) -> Tuple[int, Dict[StateKey, int]]:
+        """(den, nums): the terms are nums[key] / den, with den > 0 and
+        gcd(den, *nums) = 1; built on first use."""
+        if self._ints is None:
+            den = lcm(*(c.denominator for c in self.terms.values()))
+            self._ints = (den, {key: c.numerator * (den // c.denominator)
+                                for key, c in self.terms.items()})
+        return self._ints
+
+    def _from_ints(self, den: int, nums: Dict[StateKey, int]) -> "GhostState":
+        """The state with terms nums[key] / den, reduced once."""
+        g = gcd(den, *nums.values())
+        den //= g
+        ints = {key: c // g for key, c in nums.items() if c}
+        out = self._like({key: Fraction(c, den) for key, c in ints.items()})
+        out._ints = (den, ints)
+        return out
+
+    def _sum(self, parts) -> "GhostState":
+        """sum of factor * state over the (state, factor) pairs, on integer
+        forms over one common denominator."""
+        forms = []
+        for state, factor in parts:
+            assert state.base() == self.base(), "incompatible base"
+            if not isinstance(factor, (int, Fraction)):
+                factor = Fraction(factor)
+            den, nums = state._integer_form()
+            forms.append((den * factor.denominator, factor.numerator, nums))
+        den = lcm(*(d for d, _f, _nums in forms))
+        out: Dict[StateKey, int] = {}
+        get = out.get
+        for d, f, nums in forms:
+            f *= den // d
+            for key, c in nums.items():
+                out[key] = get(key, 0) + f * c
+        return self._from_ints(den, out)
+
+    def _combine(self, other: "GhostState", factor) -> "GhostState":
+        return self._sum(((self, 1), (other, factor)))
+
+    def scale(self, factor) -> "GhostState":
+        return self._sum(((self, factor),))
 
     def max_depth(self) -> int:
         depth = 0
@@ -161,66 +219,105 @@ def act(expr: ModeExpr, state: GhostState) -> GhostState:
     return state._like(out)
 
 
-def _on_primary(j: Fraction, ell: int, n: int, weight, eigenvalue):
-    """X_n phi_j^ell for X_n = sum_c weight(c) :b_{n-c} g_c:, as
-    (creators, charge shift, coefficient) triples."""
-    if n > 0:
-        return ()
+def _unit_action(op: str, n: int, key: StateKey, j: Fraction,
+                 ell: int) -> Tuple[Tuple[StateKey, int], ...]:
+    """X_n on mono * phi_{j+shift}^ell for key = (mono, shift) and X = J (op
+    CURRENT, weight 1) or L (op VIRASORO, weight c), as (key, numerator)
+    pairs over 2q, with j = p/q: every coefficient of the derivation lies in
+    Z/(2q)."""
+    mono, shift = key
+    q = j.denominator
+    charge = j.numerator + q * shift  # q (j + shift)
+    two_q = 2 * q
+    current = op == CURRENT
+    weight = (lambda c: 1) if current else (lambda c: c)
+    out: Dict[StateKey, int] = {}
+    for i, (fam, k) in enumerate(mono):
+        # [X_n, b_k] = weight(-k) b_{n+k},  [X_n, g_k] = -weight(n+k) g_{n+k}
+        m = n + k
+        c = weight(-k) if fam == BETA else -weight(m)
+        if not c:
+            continue
+        rest = mono[:i] + mono[i + 1 :]
+        # x_m moves right to phi, contracting with the creators after it:
+        # [b_m, g_{-m}] = -1, [g_m, b_{-m}] = +1
+        conj, sign, zero_grade = (GAMMA, -1, -ell) if fam == BETA else (BETA, 1, ell)
+        for a in range(i + 1, len(mono)):
+            if mono[a] == (conj, -m):
+                image = (mono[:i] + mono[i + 1 : a] + mono[a + 1 :], shift)
+                out[image] = out.get(image, 0) + sign * c * two_q
+        if m < zero_grade:
+            image, c = (_sort_monomial(rest + ((fam, m),)), shift), c * two_q
+        elif m == zero_grade:
+            if fam == BETA:  # b_{-ell} phi_j = j phi_{j+1}
+                image, c = (rest, shift + 1), 2 * c * charge
+            else:  # g_ell phi_j = phi_{j-1}
+                image, c = (rest, shift - 1), c * two_q
+        else:
+            continue
+        out[image] = out.get(image, 0) + c
+    # X_n on the bare primary phi_{j+shift}^ell
     if n == 0:
-        return (((), 0, eigenvalue(j, ell)),)
-    out = [((mode(BETA, n - ell),), -1, weight(ell)),
-           ((mode(GAMMA, n + ell),), 1, weight(n + ell) * j)]
-    out += [((mode(BETA, n - c), mode(GAMMA, c)), 0, weight(c)) for c in range(n + ell + 1, ell)]
-    return out
+        # J_0 phi_j = (j - ell) phi_j,  L_0 phi_j = (j ell - ell(ell+1)/2) phi_j
+        eigen = 2 * (charge - q * ell) if current else 2 * ell * charge - q * ell * (ell + 1)
+        out[key] = out.get(key, 0) + eigen
+    elif n < 0:
+        primary = [((mode(BETA, n - ell),), -1, weight(ell) * two_q),
+                   ((mode(GAMMA, n + ell),), 1, 2 * weight(n + ell) * charge)]
+        primary += [((mode(BETA, n - c), mode(GAMMA, c)), 0, weight(c) * two_q)
+                    for c in range(n + ell + 1, ell)]
+        for extra, dshift, c in primary:
+            image = (_sort_monomial(mono + extra), shift + dshift)
+            out[image] = out.get(image, 0) + c
+    return tuple((image, c) for image, c in out.items() if c)
 
 
-def _derivation(state: GhostState, n: int, weight, eigenvalue) -> GhostState:
+# The unit actions of one check run, keyed by (op, n, p, q, ell) for the
+# base charge j = p/q and then by (mono, shift); None outside a run.
+_UNITS: ContextVar[Optional[dict]] = ContextVar("ghostcft_unit_actions", default=None)
+
+
+@contextmanager
+def _memoised():
+    """Within the block, J_n and L_n look up their action on each monomial
+    in one memo, dropped when the block ends (also on a raise)."""
+    token = _UNITS.set({})
+    try:
+        yield
+    finally:
+        _UNITS.reset(token)
+
+
+def _derivation(state: GhostState, n: int, op: str) -> GhostState:
     """X_n = sum_c weight(c) :b_{n-c} g_c: acting as the derivation
-    X_n x_1..x_r phi = sum_i x_1..[X_n, x_i]..x_r phi + x_1..x_r X_n phi;
-    eigenvalue(j, ell) is X_0 on phi_j^ell."""
+    X_n x_1..x_r phi = sum_i x_1..[X_n, x_i]..x_r phi + x_1..x_r X_n phi,
+    on the integer form of the state: the numerators of each unit action
+    (over 2q) are summed with the state's numerators (over den), and the
+    result is reduced once."""
     j, ell = state.j, state.ell
-    out: Dict[StateKey, Fraction] = {}
-    for (mono, shift), coeff in state.terms.items():
-        for i, (fam, k) in enumerate(mono):
-            # [X_n, b_k] = weight(-k) b_{n+k},  [X_n, g_k] = -weight(n+k) g_{n+k}
-            c = weight(-k) if fam == BETA else -weight(n + k)
-            if not c:
-                continue
-            c *= coeff
-            m = n + k
-            rest = mono[:i] + mono[i + 1 :]
-            # x_m moves right to phi, contracting with the creators after it:
-            # [b_m, g_{-m}] = -1, [g_m, b_{-m}] = +1
-            conj, sign, zero_grade = (GAMMA, -1, -ell) if fam == BETA else (BETA, 1, ell)
-            for a in range(i + 1, len(mono)):
-                if mono[a] == (conj, -m):
-                    key = (mono[:i] + mono[i + 1 : a] + mono[a + 1 :], shift)
-                    out[key] = out.get(key, 0) + sign * c
-            if m < zero_grade:
-                key = (_sort_monomial(rest + ((fam, m),)), shift)
-            elif m == zero_grade:
-                if fam == BETA:  # b_{-ell} phi_j = j phi_{j+1}
-                    key, c = (rest, shift + 1), c * (j + shift)
-                else:  # g_ell phi_j = phi_{j-1}
-                    key = (rest, shift - 1)
-            else:
-                continue
-            out[key] = out.get(key, 0) + c
-        for extra, dshift, c in _on_primary(j + shift, ell, n, weight, eigenvalue):
-            key = (_sort_monomial(mono + extra) if extra else mono, shift + dshift)
-            out[key] = out.get(key, 0) + c * coeff
-    return state._like(out)
+    den, nums = state._integer_form()
+    memo = _UNITS.get()
+    outer = (op, n, j.numerator, j.denominator, ell)
+    units = {} if memo is None else memo.setdefault(outer, {})
+    out: Dict[StateKey, int] = {}
+    get = out.get
+    for key, a in nums.items():
+        unit = units.get(key)
+        if unit is None:
+            unit = units[key] = _unit_action(op, n, key, j, ell)
+        for image, c in unit:
+            out[image] = get(image, 0) + a * c
+    return state._from_ints(den * 2 * j.denominator, out)
 
 
 def act_current(state: GhostState, n: int) -> GhostState:
     """J_n = sum_a :b_a g_{n-a}: acting exactly."""
-    return _derivation(state, n, lambda c: 1, lambda j, ell: j - ell)
+    return _derivation(state, n, CURRENT)
 
 
 def act_virasoro(state: GhostState, n: int) -> GhostState:
     """L_n = sum_c c :b_{n-c} g_c: acting exactly."""
-    return _derivation(state, n, lambda c: c,
-                       lambda j, ell: ell * j - Fraction(ell * (ell + 1), 2))
+    return _derivation(state, n, VIRASORO)
 
 
 def act_current_squared(state: GhostState, n: int) -> GhostState:

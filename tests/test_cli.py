@@ -267,6 +267,10 @@ def test_configuration_error_exit_code(capsys):
     # 0 ** p with Re p < 0 at eta = 1
     ["recurse", "--ell", "3", "--charges=0.083252,1.856,0.5,0.560748", "--k", "1",
      "--eta-grid", "0.2,1.0,3"],
+    # a mode-algebra suite over an empty index window, no state, a negative level
+    ["modealg-verify", "--index-range", "-1"],
+    ["modealg-verify", "--states", "0"],
+    ["modealg-verify", "--level", "-1"],
 ])
 def test_bad_input_exit_code(capsys, argv):
     assert main(argv) == 2

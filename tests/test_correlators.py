@@ -535,18 +535,32 @@ def test_each_payload_is_evaluated_once_per_eta(monkeypatch):
         seen.append(args)
         return hyp2f1(*args)
 
+    # the sums of the jet that a WardForm hands to values_at
+    summed = []
+    values_at = co.values_at
+
+    def summing(sums, eta, payloads):
+        summed.extend(sums)
+        return values_at(sums, eta, payloads)
+
     def calls(run):
         seen.clear()
+        summed.clear()
         run()
         return len(seen)
 
     monkeypatch.setattr(sf, "hyp2f1", counted)
+    monkeypatch.setattr(co, "values_at", summing)
     points = kz.sample_insertions(4)
     form = _flow2_form()
     # 3 payloads per point: 2F1(a + m, b + m; c + m) for m = 0, 1, 2
     assert calls(lambda: kz.bpz_residual(form, 2, form.charges, form.weights, points)) == 15
+    # H, H' and H'' summed once per point
+    assert len(summed) == 15
     form = _flow2_form()
     assert calls(lambda: kz.ward_residuals(form, form.charges, form.weights, points)) == 10
+    # H and H' summed once per point
+    assert len(summed) == 10
     j1, j2, _j3, j4 = _FLOW2
     recursed = kz.recursion_iterate(co.fourpoint_blocksums(2, j1, j2, j4)[0], _FLOW2, 2, 3)
     assert calls(lambda: recursed.value(0.3)) == 4

@@ -29,6 +29,7 @@ from ghostcft.modealg import (
     kac_locus_check,
     localized_twist,
 )
+from ghostcft.lincomb import accumulate
 from ghostcft.modealg import checks, states
 from ghostcft.modealg.jl import (
     apply_current,
@@ -282,6 +283,152 @@ def test_current_squared_and_singlet_on_seeded_basis_sample(rng):
             n = rng.randint(-3, 3)
             assert act_current_squared(state, n) == _reference_current_squared(state, n)
             assert act_singlet(state, n) == _reference_singlet(state, n)
+
+
+# ----------------------------------------------------------------------
+# the integer kernel against the Fraction derivation it replaced
+# ----------------------------------------------------------------------
+
+
+def _on_primary_reference(j, ell, n, weight, eigenvalue):
+    if n > 0:
+        return ()
+    if n == 0:
+        return (((), 0, eigenvalue(j, ell)),)
+    out = [(((BETA, n - ell),), -1, weight(ell)),
+           (((GAMMA, n + ell),), 1, weight(n + ell) * j)]
+    out += [(((BETA, n - c), (GAMMA, c)), 0, weight(c)) for c in range(n + ell + 1, ell)]
+    return out
+
+
+def _derivation_reference(state, n, weight, eigenvalue):
+    """X_n = sum_c weight(c) :b_{n-c} g_c: as a derivation, term by term in
+    Fractions."""
+    j, ell = state.j, state.ell
+    out = {}
+    for (mono, shift), coeff in state.terms.items():
+        for i, (fam, k) in enumerate(mono):
+            c = weight(-k) if fam == BETA else -weight(n + k)
+            if not c:
+                continue
+            c *= coeff
+            m = n + k
+            rest = mono[:i] + mono[i + 1 :]
+            conj, sign, zero_grade = (GAMMA, -1, -ell) if fam == BETA else (BETA, 1, ell)
+            for a in range(i + 1, len(mono)):
+                if mono[a] == (conj, -m):
+                    key = (mono[:i] + mono[i + 1 : a] + mono[a + 1 :], shift)
+                    out[key] = out.get(key, 0) + sign * c
+            if m < zero_grade:
+                key = (states._sort_monomial(rest + ((fam, m),)), shift)
+            elif m == zero_grade:
+                if fam == BETA:
+                    key, c = (rest, shift + 1), c * (j + shift)
+                else:
+                    key = (rest, shift - 1)
+            else:
+                continue
+            out[key] = out.get(key, 0) + c
+        for extra, dshift, c in _on_primary_reference(j + shift, ell, n, weight, eigenvalue):
+            key = (states._sort_monomial(mono + extra) if extra else mono, shift + dshift)
+            out[key] = out.get(key, 0) + c * coeff
+    return state._like(out)
+
+
+def _current_ref(state, n):
+    return _derivation_reference(state, n, lambda c: 1, lambda j, ell: j - ell)
+
+
+def _virasoro_ref(state, n):
+    return _derivation_reference(state, n, lambda c: c,
+                                 lambda j, ell: ell * j - Fraction(ell * (ell + 1), 2))
+
+
+def _current_squared_ref(state, n):
+    d = state.max_depth()
+    out = {}
+    for hi in range(-(-n // 2), d + max(d, abs(state.ell)) + 1):
+        inner = _current_ref(state, hi)
+        if not inner.is_zero():
+            lo = n - hi
+            accumulate(out, _current_ref(inner, lo).terms, 1 if lo == hi else 2)
+    return state._like(out)
+
+
+def _singlet_ref(state, n):
+    out = {}
+    accumulate(out, _virasoro_ref(state, n).terms)
+    accumulate(out, _current_squared_ref(state, n).terms, half)
+    accumulate(out, _current_ref(state, n).terms, Fraction(-(n + 1), 2))
+    return state._like(out)
+
+
+_KERNEL_PAIRS = {"act_current": (act_current, _current_ref),
+                 "act_virasoro": (act_virasoro, _virasoro_ref),
+                 "act_current_squared": (act_current_squared, _current_squared_ref),
+                 "act_singlet": (act_singlet, _singlet_ref)}
+# j = 0, negative charges and denominators 1..7
+_KERNEL_CHARGES = [Fraction(0), Fraction(-2), Fraction(3), Fraction(-1, 2), Fraction(2, 3),
+                   Fraction(-5, 4), Fraction(7, 5), Fraction(5, 6), Fraction(-9, 7)]
+
+
+def _seeded_states(rng, ell, count):
+    """Multi-term states on phi_j^ell over several charge shifts, with
+    coefficients of several denominators."""
+    for _ in range(count):
+        j = rng.choice(_KERNEL_CHARGES)
+        monos = [next(iter(s.terms))[0] for s in basis_states(j, ell, max_level=3, max_factors=3)]
+        terms = {(rng.choice(monos), rng.randint(-2, 2)): Fraction(rng.randint(-9, 9) or 1,
+                                                                   rng.randint(1, 7))
+                 for _ in range(rng.randint(2, 4))}
+        yield GhostState(j, ell, terms)
+
+
+@pytest.mark.parametrize("ell", range(-3, 4))
+def test_kernel_matches_the_fraction_derivation(rng, ell):
+    for state in _seeded_states(rng, ell, 3):
+        for n in range(-4, 5):
+            for kernel, reference in _KERNEL_PAIRS.values():
+                got, want = kernel(state, n), reference(state, n)
+                assert got == want
+                assert got.to_text() == want.to_text()
+
+
+def test_check_run_over_two_charges_matches_the_reference(monkeypatch):
+    """Inside one check run the memo serves states of two charges that share
+    their monomials; every action of the run matches the reference."""
+    sts = (basis_states(Fraction(1, 3), 1, max_level=2, max_factors=2)[:3]
+           + basis_states(Fraction(-2, 5), 1, max_level=2, max_factors=2)[:3])
+    seen = []
+    for name, (kernel, _reference) in _KERNEL_PAIRS.items():
+        def recorded(state, n, _name=name, _kernel=kernel):
+            out = _kernel(state, n)
+            seen.append((_name, state, n, out))
+            return out
+
+        for module in (states, checks):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, recorded)
+    assert checks.check_virasoro(sts, -2, checks.act_singlet, range(-2, 3))
+    assert checks.check_lj_commutators(sts, range(-2, 3))
+    assert {state.j for _name, state, _n, _out in seen} == {Fraction(1, 3), Fraction(-2, 5)}
+    for name, state, n, out in seen:
+        want = _KERNEL_PAIRS[name][1](state, n)
+        assert out == want and out.to_text() == want.to_text()
+
+
+def test_unit_memo_lives_for_one_check_call():
+    sts = basis_states(Fraction(1, 3), 0, max_level=2, max_factors=2)[:2]
+    assert checks.check_jj_commutators(sts, range(-1, 2))
+    assert states._UNITS.get() is None
+
+    def fails(s, m, n):
+        act_current(s, m)  # fills the memo first
+        raise ZeroDivisionError
+
+    with pytest.raises(ZeroDivisionError):
+        checks._brackets_hold(sts, range(-1, 2), act_current, act_current, fails)
+    assert states._UNITS.get() is None
 
 
 # ----------------------------------------------------------------------
