@@ -14,13 +14,14 @@ import csv
 import functools
 import io
 import json
+import math
 import os
 import random
 import re
 import sys
 import warnings
 from fractions import Fraction
-from typing import List, Optional, Sequence
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Set
 
 from . import correlators as co
 from . import identities as idn
@@ -68,213 +69,144 @@ def _report_json(reports) -> str:
 
 
 # ----------------------------------------------------------------------
-# subcommand: eval
+# the op table: each op's shapes, premises and runner, written once
 # ----------------------------------------------------------------------
 
 
-# the flow each block op of eval evaluates
-_EVAL_FLOW = {"block-l1": 1, "blocks-l2": 2, "block-l3": 3, "conj-l3": 3, "conj-l2": 2,
-              "monodromy-ratio": 2}
+class _Op(NamedTuple):
+    """One op: ``shapes`` maps each charge count it takes to the flows it
+    runs there (_ANY: no bound); ``probe`` holds the flows at which it
+    assumes the probe charge 1/2 at insertion _PROBE[N]."""
+
+    name: str  # as typed: "eval --op blocks-l2", "recurse --block 2", "scan"
+    shapes: Optional[Dict[int, Optional[Set[int]]]]
+    run: Callable  # (args, charges, flow) -> what the subcommand emits
+    conserves: bool = False  # assumes j1 + ... + jN = the flow
+    probe: Set[int] = frozenset()
+    eta: bool = False  # needs --eta
 
 
-def cmd_eval(args) -> int:
-    charges = _charges(args.charges)
-    flow = _EVAL_FLOW.get(args.op)
-    if flow is not None and args.ell not in (None, flow):
-        raise ValueError(f"--op {args.op} evaluates flow {flow}; got --ell {args.ell}")
-    ell = 1 if args.ell is None else args.ell
-    if args.eta is None and args.op in ("block-l1", "blocks-l2", "block-l3", "conj-l3", "conj-l2"):
-        raise ValueError(f"--op {args.op} needs --eta")
-    eta = complex(args.eta) if args.eta is not None else None
-    out = {}
-    if args.op == "two-point":
-        j1, j2 = charges
-        p1 = co.GhostPrimary(j1, 0)
-        p2 = co.GhostPrimary(j2, ell)
-        val = co.two_point(p1, p2, args.w1, args.w2)
-        out = {"op": args.op, "value": str(val)}
-    elif args.op == "three-point":
-        j1, j2, j3 = charges
-        val = co.three_point(j1, j2, j3, ell, args.w1, args.w2, args.w3)
-        out = {"op": args.op, "value": str(val)}
-    elif args.op == "block-l1":
-        (j3,) = charges[:1]
-        out = {"op": args.op, "value": str(co.block_l1(j3, eta))}
-    elif args.op == "blocks-l2":
-        j1, j2, _j3, j4 = charges
-        b1, b2 = co.blocks_l2(j1, j2, j4, eta)
-        out = {"op": args.op, "block1": str(b1), "block2": str(b2)}
-    elif args.op == "block-l3":
-        j1, j2, _j3, j4 = charges
-        out = {"op": args.op, "value": str(co.block_l3(j1, j2, j4, eta))}
-    elif args.op == "conj-l3":
-        j1, j2, j3, j4 = charges
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", co.ConjecturalChargeWarning)
-            val = co.conj_block_l3(j1, j2, j3, j4, eta)
-        out = {"op": args.op, "value": str(val)}
-    elif args.op == "conj-l2":
-        j1, j2, j3, j4 = charges
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", co.ConjecturalChargeWarning)
-            b1, b2 = co.conj_blocks_l2(j1, j2, j3, j4, eta)
-        out = {"op": args.op, "block1": str(b1), "block2": str(b2)}
-    elif args.op == "monodromy-ratio":
-        j1, j2, _j3, j4 = charges
-        out = {"op": args.op, "value": str(co.monodromy_ratio_l2(j1, j2, j4))}
-    elif args.op == "selection":
-        fields = []
-        flows = [0] * (len(charges) - 1) + [ell]
-        for j, l in zip(charges, flows):
-            fields.append(co.GhostPrimary(j, l))
-        verdict = co.selection_rule(co.CorrelatorSpec(fields))
-        out = {"op": args.op, "zero": verdict.zero, "reason": verdict.reason}
-    else:
-        raise SystemExit(2)
-    _emit(json.dumps(out, indent=2), args.output)
-    return 0
+_ANY = None
+# the insertion, by charge count, that carries the probe charge 1/2 of the
+# second-order constraint: the first of two or three, the third of four
+_PROBE = {2: 0, 3: 0, 4: 2}
 
 
-# ----------------------------------------------------------------------
-# subcommand: residual
-# ----------------------------------------------------------------------
+def _either(values) -> str:
+    *rest, last = sorted(values)
+    return f"{', '.join(map(str, rest))} or {last}" if rest else str(last)
 
 
-def _ward_reports(charges, ell, tolerance, seed):
-    rng = random.Random(seed)
+def _check(op: _Op, charges, ell, eta=None) -> int:
+    """Apply op's record before any evaluation and return the flow it runs
+    (ell None: the op's one flow, else 1).  UnsupportedShape names a charge
+    count, flow or missing --eta it does not run; ChargeError a premise."""
     n = len(charges)
+    if op.shapes is not _ANY and n not in op.shapes:
+        raise UnsupportedShape(f"{op.name} takes {_either(op.shapes)} charges; got {n}")
+    flows = _ANY if op.shapes is _ANY else op.shapes[n]
+    if ell is None:
+        ell = min(flows) if flows is not _ANY and len(flows) == 1 else 1
+    if flows is not _ANY and ell not in flows:
+        raise UnsupportedShape(f"{op.name} on {n} charges runs flow {_either(flows)}; "
+                               f"got --ell {ell}")
+    if op.eta and eta is None:
+        raise UnsupportedShape(f"{op.name} needs --eta")
+    if op.conserves and not co.charge_conserved(sum(charges) - ell):
+        raise ChargeError(f"{op.name} assumes charge conservation, j1 + ... + jN = {ell} "
+                          f"(the flow); these charges sum to {sum(charges)}")
+    if ell in op.probe and not co.charge_conserved(charges[_PROBE[n]] - co.HALF):
+        raise ChargeError(f"{op.name} at flow {ell} assumes the probe charge "
+                          f"j{_PROBE[n] + 1} = 1/2; got {charges[_PROBE[n]]}")
+    return ell
+
+
+def _run(args, name):
+    """Check the command against op ``name``'s record, then run the op."""
+    op, charges = _OPS[name], _charges(args.charges)
+    ell = _check(op, charges, args.ell, getattr(args, "eta", None))
+    return op.run(args, charges, ell)
+
+
+def _value(x) -> dict:
+    return {"value": str(x)}
+
+
+def _pair(blocks) -> dict:
+    return {"block1": str(blocks[0]), "block2": str(blocks[1])}
+
+
+def _two_point(args, js, ell) -> dict:
+    p1, p2 = co.GhostPrimary(js[0], 0), co.GhostPrimary(js[1], ell)
+    return _value(co.two_point(p1, p2, args.w1, args.w2))
+
+
+def _selection(args, js, ell) -> dict:
+    flows = [0] * (len(js) - 1) + [ell]
+    spec = co.CorrelatorSpec([co.GhostPrimary(j, l) for j, l in zip(js, flows)])
+    verdict = co.selection_rule(spec)
+    return {"zero": verdict.zero, "reason": verdict.reason}
+
+
+def _ward(args, js, ell):
+    rng = random.Random(args.seed)
     h_block = None  # the WardForm default, H = 1
-    if n == 4:
+    if len(js) == 4:
         h_block = PowerSum.single(rng.uniform(0.5, 1.5), rng.uniform(-0.7, 0.7),
                                   rng.uniform(-0.7, 0.7))
-    if 2 <= n <= 4:
-        cs, ws = co.standard_frame_data(*charges, ell)
-    else:
-        cs, ws = list(charges), [0] * n
+    cs, ws = co.standard_frame_data(*js, ell)
     form = co.WardForm(cs, ws, h_block)
-    points = kz.sample_insertions(n, seed=seed)
-    reports = kz.ward_residuals(form, cs, ws, points, tolerance=tolerance)
-    return list(reports.values())
+    points = kz.sample_insertions(len(js), seed=args.seed)
+    return list(kz.ward_residuals(form, cs, ws, points, tolerance=args.tolerance).values())
 
 
-def _kz_family(charges, ell):
-    n = len(charges)
-    if n == 2:
-        return kz.TwoPointFamily()
-    if n == 3:
-        return kz.ThreePointFamily(ell)
-    if n == 4:
-        if ell != 1:
-            raise ValueError("kz residual families cover the flow-1 4-point case")
-        return kz.FourPointL1Family()
-    raise ValueError(f"no charge-shift family for N = {n}")
+def _kz_family(n, ell):
+    """The charge-shift family of n charges at flow ell."""
+    return {2: kz.TwoPointFamily, 3: lambda: kz.ThreePointFamily(ell),
+            4: kz.FourPointL1Family}[n]()
 
 
-def _bpz_reports(charges, ell, tolerance, seed):
-    n = len(charges)
-    points = kz.sample_insertions(n, seed=seed)
+def _kz(residual, args, js, ell):
+    """kz-m2 or kz-m1: one residual over the family's charge shifts."""
+    points = kz.sample_insertions(len(js), seed=args.seed)
+    return [residual(_kz_family(len(js), ell), tuple(js), points, tolerance=args.tolerance)]
+
+
+def _kz_j0(args, js, ell):
+    fam = kz.FourPointL1Family()
+    j1, j2, j3, j4 = js
+    blk, shifted = fam.specialized(js), fam.specialized((j1, j2, j3 + 1, j4 - 1))
+    return [kz.kz_specialized_j0_residual(blk, shifted, tolerance=args.tolerance)]
+
+
+def _kz_decoupled(args, js, ell):
+    blk = kz.FourPointL1Family().specialized(js)
+    return [kz.kz_decoupled_residual(blk, js[2], tolerance=args.tolerance)]
+
+
+def _bpz(args, js, ell):
+    n = len(js)
+    points = kz.sample_insertions(n, seed=args.seed)
+    if n < 4:
+        F = _kz_family(n, ell).base(tuple(js))
+        rhs = kz.threept_bpz_rhs(js[1], ell) if n == 3 else None
+        label = f"bpz-3pt-l{ell}" if n == 3 else "bpz-2pt"
+        return [kz.bpz_residual(F, 0, F.charges, F.weights, points, rhs=rhs,
+                                tolerance=args.tolerance, label=label)]
+    names = ("block1", "block2") if ell == 2 else ("power", "beta")
     reports = []
-    if n == 2:
-        j1, j2 = charges
-        F = kz.TwoPointFamily().base((j1, j2))
-        reports.append(
-            kz.bpz_residual(F, 0, F.charges, F.weights, points,
-                            tolerance=tolerance, label="bpz-2pt")
-        )
-    elif n == 3:
-        j1, j2, j3 = charges
-        fam = kz.ThreePointFamily(ell) if ell in (1, 2) else None
-        if fam is None:
-            raise ValueError("3-point forms exist for ell in {1, 2}")
-        F = fam.base((j1, j2, j3))
-        reports.append(
-            kz.bpz_residual(
-                F, 0, F.charges, F.weights, points,
-                rhs=kz.threept_bpz_rhs(j2, ell), tolerance=tolerance,
-                label=f"bpz-3pt-l{ell}",
-            )
-        )
-    else:
-        j1, j2, j3, j4 = charges
-        blocks = co.fourpoint_blocksums(ell, j1, j2, j4)
-        names = ("block1", "block2") if ell == 2 else ("power", "beta")
-        for name, blk in zip(names, blocks):
-            F = co.unspecialize_block(blk, j1, j2, j3, j4, ell)
-            reports.append(
-                kz.bpz_residual(F, 2, F.charges, F.weights, points,
-                                tolerance=tolerance, label=f"bpz-4pt-l{ell}-{name}")
-            )
+    for name, blk in zip(names, co.fourpoint_blocksums(ell, js[0], js[1], js[3])):
+        F = co.unspecialize_block(blk, *js, ell)
+        reports.append(kz.bpz_residual(F, 2, F.charges, F.weights, points,
+                                       tolerance=args.tolerance, label=f"bpz-4pt-l{ell}-{name}"))
     return reports
 
 
-def cmd_residual(args) -> int:
-    charges = _charges(args.charges)
-    if args.tolerance is None:  # the engine's own default
-        args.tolerance = kz.DEFAULT_TOLERANCES[args.op]
-    # the first-order identities and the two-point family exist at flow 1 only
-    if args.ell != 1 and args.op in ("kz-m1", "kz-j0", "kz-decoupled"):
-        raise ValueError(f"--op {args.op} checks a flow-1 identity; got --ell {args.ell}")
-    if args.ell != 1 and args.op in ("kz-m2", "bpz") and len(charges) == 2:
-        raise ValueError(f"--op {args.op} on two charges checks the flow-1 two-point "
-                         f"function; got --ell {args.ell}")
-    # the charge-shift and BPZ forms assume conservation, sum_i j_i = flow
-    if args.op in ("kz-m2", "kz-m1", "bpz") and not co.charge_conserved(sum(charges) - args.ell):
-        raise ChargeError(f"--op {args.op} assumes charge conservation, j1 + ... + jN = "
-                          f"{args.ell} (the flow); these charges sum to {sum(charges)}")
-    if args.op == "ward":
-        reports = _ward_reports(charges, args.ell, args.tolerance, args.seed)
-    elif args.op == "kz-m2":
-        fam = _kz_family(charges, args.ell)
-        points = kz.sample_insertions(len(charges), seed=args.seed)
-        reports = [kz.kz_residual_m2(fam, tuple(charges), points,
-                                     tolerance=args.tolerance)]
-    elif args.op == "kz-m1":
-        fam = _kz_family(charges, 1)
-        points = kz.sample_insertions(len(charges), seed=args.seed)
-        reports = [kz.kz_residual_m1_l1(fam, tuple(charges), points,
-                                        tolerance=args.tolerance)]
-    elif args.op == "kz-j0":
-        j1, j2, j3, j4 = charges
-        fam = kz.FourPointL1Family()
-        blk = fam.specialized((j1, j2, j3, j4))
-        shifted = fam.specialized((j1, j2, j3 + 1, j4 - 1))
-        reports = [
-            kz.kz_specialized_j0_residual(blk, shifted, tolerance=args.tolerance)
-        ]
-    elif args.op == "kz-decoupled":
-        j1, j2, j3, j4 = charges
-        blk = kz.FourPointL1Family().specialized((j1, j2, j3, j4))
-        reports = [kz.kz_decoupled_residual(blk, j3, tolerance=args.tolerance)]
-    elif args.op == "bpz":
-        reports = _bpz_reports(charges, args.ell, args.tolerance, args.seed)
-    else:
-        raise SystemExit(2)
-    _emit(_report_json(reports), args.output)
-    return 0 if all(rep.passes for rep in reports) else 1
-
-
-# ----------------------------------------------------------------------
-# subcommand: recurse
-# ----------------------------------------------------------------------
-
-
-def cmd_recurse(args) -> int:
-    charges = _charges(args.charges)
-    if len(charges) != 4:
-        raise ValueError("recurse needs four charges j1,j2,j3,j4")
-    j1, j2, j3, j4 = charges
-    exact = all_exact(j1, j2, j3, j4)
-    ell = args.ell
-    if ell not in (1, 2, 3):
-        raise ValueError("recursion families exist for ell in {1, 2, 3}")
-    if args.block == 2 and ell != 2:
-        raise ValueError(f"--block 2 picks the second flow-2 block; at --ell {ell} recurse "
-                         f"runs the flow-{ell} power block")
-    if not co.charge_conserved(sum(charges) - ell):
-        raise ChargeError(f"recurse assumes charge conservation, j1 + j2 + j3 + j4 = {ell} "
-                          f"(the flow); these charges sum to {sum(charges)}")
+def _recurse(args, js, ell) -> dict:
+    j1, j2, j3, j4 = js
+    exact = all_exact(*js)
     if ell == 1:
-        block = kz.FourPointL1Family(Fraction(1) if exact else 1.0).specialized(charges)
+        block = kz.FourPointL1Family(Fraction(1) if exact else 1.0).specialized(js)
     elif ell == 2:
         block = co.fourpoint_blocksums(2, j1, j2, j4)[args.block - 1]
     else:
@@ -288,7 +220,7 @@ def cmd_recurse(args) -> int:
     payload = {
         "ell": ell,
         "k": args.k,
-        "charges": [str(c) for c in charges],
+        "charges": [str(c) for c in js],
         "final_charges": [str(j1), str(j2), str(j3 + args.k), str(j4 - args.k)],
         "exact": isinstance(result, PowerSum) and result.is_exact(),
     }
@@ -300,7 +232,100 @@ def cmd_recurse(args) -> int:
             v = to_complex(result.eval(eta)) if isinstance(result, PowerSum) else result.value(eta)
             values.append({"eta": eta, "re": v.real, "im": v.imag})
         payload["values"] = values
-    _emit(json.dumps(payload, indent=2), args.output)
+    return payload
+
+
+def _scan(args, js, ell) -> str:
+    j1, j2 = js
+    j4 = parse_charge(args.j4)
+    log_regime = is_half_odd_integer(j4)
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(
+        ["eta_re", "eta_im", "block1_re", "block1_im", "block2_re", "block2_im"]
+    )
+    # build the flow-2 pair once, not at each eta
+    pair = None if log_regime else co.fourpoint_blocksums(2, j1, j2, j4)
+    for eta in args.eta_grid:
+        if eta == 0:
+            continue
+        if log_regime:
+            b1, b2 = co.log_blocks_l2(j1, j2, j4, eta)
+        else:
+            b1, b2 = (b.value(eta) for b in pair)
+        b1, b2 = to_complex(b1), to_complex(b2)
+        writer.writerow(
+            [f"{eta:.12g}", "0", f"{b1.real:.15g}", f"{b1.imag:.15g}",
+             f"{b2.real:.15g}", f"{b2.imag:.15g}"]
+        )
+    return buf.getvalue()
+
+
+_OPS = {op.name: op for op in (
+    _Op("eval --op two-point", {2: _ANY}, _two_point),
+    _Op("eval --op three-point", {3: _ANY},
+        lambda a, js, ell: _value(co.three_point(*js, ell, a.w1, a.w2, a.w3))),
+    _Op("eval --op block-l1", {4: {1}}, lambda a, js, ell: _value(co.block_l1(js[2], a.eta)),
+        eta=True),
+    _Op("eval --op blocks-l2", {4: {2}},
+        lambda a, js, ell: _pair(co.blocks_l2(js[0], js[1], js[3], a.eta)),
+        probe={2}, eta=True),
+    _Op("eval --op block-l3", {4: {3}},
+        lambda a, js, ell: _value(co.block_l3(js[0], js[1], js[3], a.eta)),
+        probe={3}, eta=True),
+    _Op("eval --op conj-l3", {4: {3}}, lambda a, js, ell: _value(co.conj_block_l3(*js, a.eta)),
+        eta=True),
+    _Op("eval --op conj-l2", {4: {2}}, lambda a, js, ell: _pair(co.conj_blocks_l2(*js, a.eta)),
+        eta=True),
+    _Op("eval --op monodromy-ratio", {4: {2}},
+        lambda a, js, ell: _value(co.monodromy_ratio_l2(js[0], js[1], js[3])), probe={2}),
+    _Op("eval --op selection", _ANY, _selection),
+    # the two-point function in the standard frame vanishes unless the flows
+    # sum to 1, so on two charges every op checks flow 1 only
+    _Op("residual --op ward", {2: {1}, 3: _ANY, 4: _ANY}, _ward),
+    _Op("residual --op kz-m2", {2: {1}, 3: {1, 2}, 4: {1}}, functools.partial(_kz, kz.kz_residual_m2),
+        conserves=True),
+    _Op("residual --op kz-m1", {2: {1}, 3: {1}, 4: {1}}, functools.partial(_kz, kz.kz_residual_m1_l1),
+        conserves=True),
+    _Op("residual --op kz-j0", {4: {1}}, _kz_j0),
+    _Op("residual --op kz-decoupled", {4: {1}}, _kz_decoupled),
+    _Op("residual --op bpz", {2: {1}, 3: {1, 2}, 4: {1, 2, 3}}, _bpz, conserves=True,
+        probe={1, 2, 3}),
+    # --block picks the block recurse runs: 2 is the second flow-2 block
+    _Op("recurse --block 1", {4: {1, 2, 3}}, _recurse, conserves=True, probe={2, 3}),
+    _Op("recurse --block 2", {4: {2}}, _recurse, conserves=True, probe={2}),
+    _Op("scan", {2: {2}}, _scan),
+)}
+
+
+# ----------------------------------------------------------------------
+# subcommands eval, residual, recurse and scan: one op each
+# ----------------------------------------------------------------------
+
+
+def cmd_eval(args) -> int:
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", co.ConjecturalChargeWarning)
+        out = _run(args, f"eval --op {args.op}")
+    _emit(json.dumps({"op": args.op, **out}, indent=2), args.output)
+    return 0
+
+
+def cmd_residual(args) -> int:
+    if args.tolerance is None:  # the engine's own default
+        args.tolerance = kz.DEFAULT_TOLERANCES[args.op]
+    reports = _run(args, f"residual --op {args.op}")
+    _emit(_report_json(reports), args.output)
+    return 0 if all(rep.passes for rep in reports) else 1
+
+
+def cmd_recurse(args) -> int:
+    _emit(json.dumps(_run(args, f"recurse --block {args.block}"), indent=2), args.output)
+    return 0
+
+
+def cmd_scan(args) -> int:
+    _emit(_run(args, "scan"), args.output)
     return 0
 
 
@@ -351,52 +376,11 @@ def cmd_identity_check(args) -> int:
 
 
 # ----------------------------------------------------------------------
-# subcommand: scan
-# ----------------------------------------------------------------------
-
-
-def cmd_scan(args) -> int:
-    if args.ell != 2:
-        raise ValueError(f"scan emits the flow-2 blocks; got --ell {args.ell}, need 2")
-    charges = _charges(args.charges)
-    j1, j2 = charges[:2]
-    j4 = parse_charge(args.j4)
-    log_regime = is_half_odd_integer(j4)
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(
-        ["eta_re", "eta_im", "block1_re", "block1_im", "block2_re", "block2_im"]
-    )
-    # build the flow-2 pair once, not at each eta
-    pair = None if log_regime else co.fourpoint_blocksums(2, j1, j2, j4)
-    for eta in args.eta_grid:
-        if eta == 0:
-            continue
-        if log_regime:
-            b1, b2 = co.log_blocks_l2(j1, j2, j4, eta)
-        else:
-            b1, b2 = (b.value(eta) for b in pair)
-        b1, b2 = to_complex(b1), to_complex(b2)
-        writer.writerow(
-            [f"{eta:.12g}", "0", f"{b1.real:.15g}", f"{b1.imag:.15g}",
-             f"{b2.real:.15g}", f"{b2.imag:.15g}"]
-        )
-    _emit(buf.getvalue(), args.output)
-    return 0
-
-
-# ----------------------------------------------------------------------
 # subcommand: modealg-verify
 # ----------------------------------------------------------------------
 
 
 def cmd_modealg_verify(args) -> int:
-    # below these bounds the report would pass on an empty level, state list
-    # or index window
-    for flag, value, least in (("--level", args.level, 0), ("--states", args.states, 1),
-                               ("--index-range", args.index_range, 0)):
-        if value < least:
-            raise UnsupportedShape(f"modealg-verify needs {flag} >= {least}; got {value}")
     level = args.level
     rep = modealg.chi_null_check()
     states = modealg.basis_states(Fraction(1, 3), 0, max_level=level, max_factors=2)
@@ -433,6 +417,12 @@ def cmd_modealg_verify(args) -> int:
 # ----------------------------------------------------------------------
 
 
+def _op_choices(command: str):
+    """The --op values of a subcommand, in the order of the table."""
+    prefix = f"{command} --op "
+    return tuple(name[len(prefix):] for name in _OPS if name.startswith(prefix))
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The parser, built once per process; main() runs cmd_<subcommand>."""
@@ -456,10 +446,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--output", help="write result to this path (atomic)")
 
     sp = sub.add_parser("eval", help="evaluate a closed form")
-    sp.add_argument("--op", required=True,
-                    choices=("two-point", "three-point", "block-l1", "blocks-l2",
-                             "block-l3", "conj-l3", "conj-l2", "monodromy-ratio",
-                             "selection"))
+    sp.add_argument("--op", required=True, choices=_op_choices("eval"))
     sp.add_argument("--eta", type=complex)
     sp.add_argument("--w1", type=float, default=2.0)
     sp.add_argument("--w2", type=float, default=1.0)
@@ -470,9 +457,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(ell=None)
 
     sp = sub.add_parser("residual", help="run a residual sweep")
-    sp.add_argument("--op", required=True,
-                    choices=("ward", "kz-m2", "kz-m1", "kz-j0", "kz-decoupled",
-                             "bpz"))
+    sp.add_argument("--op", required=True, choices=_op_choices("residual"))
     common(sp, "charges", "ell", "tolerance", "seed")
     sp.set_defaults(tolerance=None)
 
@@ -515,9 +500,23 @@ def _attach_lists(argv: Sequence[str]) -> List[str]:
     return out
 
 
+# the least value of each bounded flag: below it a report would pass on an
+# empty level, state list, index window or draw, or fail every check
+_LEAST = {"level": 0, "states": 1, "index_range": 0, "k": 0, "draws": 0, "tolerance": 0}
+
+
+def _check_bounds(args) -> None:
+    for dest, least in _LEAST.items():
+        value = getattr(args, dest, None)
+        if value is not None and not least <= value < math.inf:
+            raise UnsupportedShape(f"{args.command} needs a finite --{dest.replace('_', '-')} "
+                                   f">= {least}; got {value}")
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(_attach_lists(sys.argv[1:] if argv is None else argv))
     try:
+        _check_bounds(args)
         return globals()["cmd_" + args.command.replace("-", "_")](args)
     except (GhostCftError, ValueError) as exc:  # bad input; any other raise is a bug
         print(f"error: {exc}", file=sys.stderr)

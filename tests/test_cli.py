@@ -7,10 +7,12 @@ import re
 import shlex
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+from ghostcft import cli
 from ghostcft.cli import main
 
 
@@ -262,6 +264,7 @@ def test_configuration_error_exit_code(capsys):
     ["recurse", "--ell", "3", "--charges", "1/3,2/7,1/2,1/2", "--k", "2"],
     # a recursion step differentiates a 2F1 payload whose lower parameter is 0
     ["recurse", "--ell", "2", "--charges=15,-5,1/2,-17/2", "--k", "9"],
+    # a probe charge j3 = 39/2, where the flow-2 block assumes 1/2
     ["recurse", "--ell", "2", "--charges=-37/4,-7/4,39/2,-13/2", "--k", "9",
      "--eta-grid", "0.05,0.95,4"],
     # 0 ** p with Re p < 0 at eta = 1
@@ -271,6 +274,22 @@ def test_configuration_error_exit_code(capsys):
     ["modealg-verify", "--index-range", "-1"],
     ["modealg-verify", "--states", "0"],
     ["modealg-verify", "--level", "-1"],
+    # a probe charge other than 1/2 where the op's block assumes it
+    ["eval", "--op", "blocks-l2", "--charges", "0.3,0.4,7,0.8", "--eta", "0.3"],
+    ["eval", "--op", "block-l3", "--charges", "0.3,0.4,0.7,1.6", "--eta", "0.3"],
+    ["eval", "--op", "monodromy-ratio", "--charges", "0.3,0.4,0.6,0.7"],
+    ["recurse", "--ell", "2", "--charges", "0.3,0.4,0.6,0.7", "--k", "1",
+     "--eta-grid", "0.2,0.4,2"],
+    ["recurse", "--ell", "3", "--charges", "0.3,0.4,0.6,1.7", "--k", "1"],
+    # the standard-frame two-point function is 0 unless the flows sum to 1
+    ["residual", "--op", "ward", "--ell", "2", "--charges", "0.3,1.7"],
+    ["residual", "--op", "ward", "--ell", "0", "--charges", "0.3,-0.3"],
+    # a flag below its bound (test_flag_below_its_bound_is_refused_by_name)
+    ["identity-check", "--k", "-1"],
+    ["identity-check", "--draws", "-3"],
+    ["residual", "--op", "ward", "--tolerance", "-1", "--charges", "0.3,0.7"],
+    ["residual", "--op", "ward", "--tolerance", "nan", "--charges", "0.3,0.7"],
+    ["identity-check", "--tolerance", "inf"],
 ])
 def test_bad_input_exit_code(capsys, argv):
     assert main(argv) == 2
@@ -290,6 +309,133 @@ def test_eval_block_op_runs_its_own_flow(capsys, op, flow, charges):
     code, out = run(capsys, *argv)
     assert code == 0
     assert (code, out) == run(capsys, *argv, "--ell", flow)
+
+
+@pytest.mark.parametrize("flag, argv", [
+    # an empty randrange, fewer draws than asked, a tolerance that fails or
+    # passes every check, a recursion that would run backwards
+    ("--k", ["identity-check", "--k", "-1"]),
+    ("--draws", ["identity-check", "--draws", "-3"]),
+    ("--tolerance", ["residual", "--op", "ward", "--tolerance", "-1", "--charges", "0.3,0.7"]),
+    ("--tolerance", ["residual", "--op", "ward", "--tolerance", "nan", "--charges", "0.3,0.7"]),
+    ("--tolerance", ["identity-check", "--tolerance", "inf"]),
+    ("--k", ["recurse", "--ell", "1", "--charges", "3/10,2/5,1/2,-1/5", "--k", "-1"]),
+])
+def test_flag_below_its_bound_is_refused_by_name(capsys, flag, argv):
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert err.startswith(f"error: {argv[0]} needs a finite {flag} >= ")
+    assert out == ""
+
+
+def test_zero_lower_parameter_still_reaches_the_pole_error(capsys):
+    # j3 = 1/2 meets the probe premise, so the refusal is the recursion step's
+    assert main(["recurse", "--ell", "2", "--charges=15,-5,1/2,-17/2", "--k", "9"]) == 2
+    assert "lower parameter c = 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("charges", ["3/10,2/5,1/2,-1/5", "0.2,0.3,0.7,-0.2"])
+def test_eval_block_l1_is_the_flow_one_recursion_at_depth_zero(capsys, charges):
+    # both read j3 as the third charge
+    code, out = run(capsys, "eval", "--op", "block-l1", "--charges", charges, "--eta", "0.3")
+    assert code == 0
+    value = complex(json.loads(out)["value"])
+    code, out = run(capsys, "recurse", "--ell", "1", "--k", "0", "--charges", charges,
+                    "--eta-grid", "0.3,0.5,2")
+    assert code == 0
+    first = json.loads(out)["values"][0]
+    assert first["eta"] == 0.3
+    assert abs(value - complex(first["re"], first["im"])) <= 1e-15 * abs(value)
+
+
+# the flags each subcommand needs besides the op, its charges and --ell
+_EXTRA = {"eval": ["--eta", "0.3"], "residual": [], "recurse": ["--k", "1"],
+          "scan": ["--j4", "0.8", "--eta-grid", "0.1,0.5,3"]}
+
+
+def _argv(name, charges, ell):
+    """A command of op ``name`` on charges meeting its premises at flow ell:
+    the probe charge 1/2 where it has one, and j1 + ... + jN = ell."""
+    js = [Fraction(3, 10), Fraction(9, 20), Fraction(1, 2), Fraction(7, 10), Fraction(1, 5)]
+    js = js[:charges]
+    if 2 <= charges <= 4:
+        js[cli._PROBE[charges]] = Fraction(1, 2)
+    if js:
+        js[-1] += ell - sum(js)
+    words = name.split()
+    return words + _EXTRA[words[0]] + ["--ell", str(ell),
+                                       "--charges=" + ",".join(map(str, js))]
+
+
+def _outside_the_table():
+    for name, op in cli._OPS.items():
+        if op.shapes is None:
+            continue
+        for n in range(7):
+            if n not in op.shapes:
+                yield pytest.param(name, _argv(name, n, 1), "charges; got",
+                                   id=f"{name}-N{n}")
+            elif op.shapes[n] is not None:
+                for ell in set(range(5)) - op.shapes[n]:
+                    yield pytest.param(name, _argv(name, n, ell), "runs flow",
+                                       id=f"{name}-N{n}-ell{ell}")
+
+
+@pytest.mark.parametrize("name, argv, rule", [
+    *_outside_the_table(),
+    pytest.param("eval --op two-point", ["eval", "--op", "two-point", "--charges", "1,2,3"],
+                 "charges; got", id="fuzz-two-point-3"),
+    pytest.param("eval --op block-l1", ["eval", "--op", "block-l1", "--ell", "1",
+                                        "--charges", "0.3,9,9"], "charges; got",
+                 id="fuzz-block-l1-3"),
+    pytest.param("residual --op ward", ["residual", "--op", "ward", "--ell", "1",
+                                        "--charges", "1/2"], "charges; got",
+                 id="fuzz-ward-1"),
+])
+def test_shapes_outside_the_op_table_are_refused(capsys, name, argv, rule):
+    assert main(argv) == 2, argv
+    out, err = capsys.readouterr()
+    assert err.startswith(f"error: {name} ") and rule in err
+    assert "unpack" not in err
+    assert out == ""
+
+
+def _inside_the_table():
+    for name, op in cli._OPS.items():
+        for n, flows in (op.shapes or {4: None}).items():
+            for ell in sorted(flows or {1}):
+                yield pytest.param(_argv(name, n, ell), id=f"{name}-N{n}-ell{ell}")
+
+
+@pytest.mark.parametrize("argv", _inside_the_table())
+def test_every_shape_in_the_op_table_runs(capsys, argv):
+    assert main(argv) == 0, argv
+    assert capsys.readouterr().err == ""
+
+
+def _readme_row(name, n, op):
+    flows = None if op.shapes is None else op.shapes[n]
+    premises = ["`--eta`"] if op.eta else []
+    if op.conserves:
+        premises.append("conservation")
+    probe = op.probe if flows is None else op.probe & flows
+    if probe:
+        rule = f"j{cli._PROBE[n] + 1} = 1/2"
+        if probe != flows:
+            rule += " at flow " + " or ".join(map(str, sorted(probe)))
+        premises.append(rule)
+    cells = [f"`{name}`", "any" if n is None else str(n),
+             "any" if flows is None else ", ".join(map(str, sorted(flows))),
+             "; ".join(premises) or "none"]
+    return "| " + " | ".join(cells) + " |"
+
+
+def test_readme_op_table_matches_the_cli():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    rows = [line.rstrip() for line in readme.splitlines() if line.startswith("| `")]
+    want = [_readme_row(name, n, op) for name, op in cli._OPS.items()
+            for n in (op.shapes or {None: None})]
+    assert [re.sub(r" +\|", " |", r) for r in rows] == want
 
 
 def test_nan_residual_fails_its_report(capsys, monkeypatch):
