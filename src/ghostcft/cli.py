@@ -10,6 +10,7 @@ draws come from a seeded generator (default seed 42).
 from __future__ import annotations
 
 import argparse
+import cmath
 import csv
 import functools
 import io
@@ -28,7 +29,7 @@ from . import identities as idn
 from . import kzbpz as kz
 from . import modealg
 from .blocks import PowerSum
-from .errors import ChargeError, GhostCftError, UnsupportedShape
+from .errors import ChargeError, ConvergenceError, GhostCftError, UnsupportedShape
 from .scalars import all_exact, is_half_odd_integer, parse_charge, to_complex
 
 
@@ -74,9 +75,9 @@ def _report_json(reports) -> str:
 
 
 class _Op(NamedTuple):
-    """One op: ``shapes`` maps each charge count it takes to the flows it
-    runs there (_ANY: no bound); ``probe`` holds the flows at which it
-    assumes the probe charge 1/2 at insertion _PROBE[N]."""
+    """One op: ``shapes`` maps each charge count from 1 up that it takes to
+    the flows it runs there (_ANY: no bound); ``probe`` holds the flows at
+    which it assumes the probe charge 1/2 at insertion _PROBE[N]."""
 
     name: str  # as typed: "eval --op blocks-l2", "recurse --block 2", "scan"
     shapes: Optional[Dict[int, Optional[Set[int]]]]
@@ -102,6 +103,8 @@ def _check(op: _Op, charges, ell, eta=None) -> int:
     (ell None: the op's one flow, else 1).  UnsupportedShape names a charge
     count, flow or missing --eta it does not run; ChargeError a premise."""
     n = len(charges)
+    if op.shapes is _ANY and n < 1:
+        raise UnsupportedShape(f"{op.name} takes at least 1 charge; got {n}")
     if op.shapes is not _ANY and n not in op.shapes:
         raise UnsupportedShape(f"{op.name} takes {_either(op.shapes)} charges; got {n}")
     flows = _ANY if op.shapes is _ANY else op.shapes[n]
@@ -128,17 +131,25 @@ def _run(args, name):
     return op.run(args, charges, ell)
 
 
-def _value(x) -> dict:
-    return {"value": str(x)}
+def _finite(name: str, eta, *values):
+    """values, unless one is a float that is not finite: ConvergenceError
+    then names the op and eta, so that no nan or inf is printed."""
+    for v in values:
+        if isinstance(v, (float, complex)) and not cmath.isfinite(v):
+            where = "" if eta is None else f" at eta = {eta}"
+            raise ConvergenceError(f"{name}{where} gave {v}, which is not finite")
+    return values
 
 
-def _pair(blocks) -> dict:
-    return {"block1": str(blocks[0]), "block2": str(blocks[1])}
+def _value(args, *values) -> dict:
+    """An eval op's one value, or its two blocks, as strings."""
+    values = _finite(f"eval --op {args.op}", args.eta, *values)
+    return dict(zip(("value",) if len(values) == 1 else ("block1", "block2"), map(str, values)))
 
 
 def _two_point(args, js, ell) -> dict:
     p1, p2 = co.GhostPrimary(js[0], 0), co.GhostPrimary(js[1], ell)
-    return _value(co.two_point(p1, p2, args.w1, args.w2))
+    return _value(args, co.two_point(p1, p2, args.w1, args.w2))
 
 
 def _selection(args, js, ell) -> dict:
@@ -230,6 +241,7 @@ def _recurse(args, js, ell) -> dict:
         values = []
         for eta in args.eta_grid:
             v = to_complex(result.eval(eta)) if isinstance(result, PowerSum) else result.value(eta)
+            _finite(f"recurse --block {args.block}", eta, v)
             values.append({"eta": eta, "re": v.real, "im": v.imag})
         payload["values"] = values
     return payload
@@ -253,7 +265,7 @@ def _scan(args, js, ell) -> str:
             b1, b2 = co.log_blocks_l2(j1, j2, j4, eta)
         else:
             b1, b2 = (b.value(eta) for b in pair)
-        b1, b2 = to_complex(b1), to_complex(b2)
+        b1, b2 = _finite("scan", eta, to_complex(b1), to_complex(b2))
         writer.writerow(
             [f"{eta:.12g}", "0", f"{b1.real:.15g}", f"{b1.imag:.15g}",
              f"{b2.real:.15g}", f"{b2.imag:.15g}"]
@@ -264,21 +276,21 @@ def _scan(args, js, ell) -> str:
 _OPS = {op.name: op for op in (
     _Op("eval --op two-point", {2: _ANY}, _two_point),
     _Op("eval --op three-point", {3: _ANY},
-        lambda a, js, ell: _value(co.three_point(*js, ell, a.w1, a.w2, a.w3))),
-    _Op("eval --op block-l1", {4: {1}}, lambda a, js, ell: _value(co.block_l1(js[2], a.eta)),
+        lambda a, js, ell: _value(a, co.three_point(*js, ell, a.w1, a.w2, a.w3))),
+    _Op("eval --op block-l1", {4: {1}}, lambda a, js, ell: _value(a, co.block_l1(js[2], a.eta)),
         eta=True),
     _Op("eval --op blocks-l2", {4: {2}},
-        lambda a, js, ell: _pair(co.blocks_l2(js[0], js[1], js[3], a.eta)),
+        lambda a, js, ell: _value(a, *co.blocks_l2(js[0], js[1], js[3], a.eta)),
         probe={2}, eta=True),
     _Op("eval --op block-l3", {4: {3}},
-        lambda a, js, ell: _value(co.block_l3(js[0], js[1], js[3], a.eta)),
+        lambda a, js, ell: _value(a, co.block_l3(js[0], js[1], js[3], a.eta)),
         probe={3}, eta=True),
-    _Op("eval --op conj-l3", {4: {3}}, lambda a, js, ell: _value(co.conj_block_l3(*js, a.eta)),
+    _Op("eval --op conj-l3", {4: {3}}, lambda a, js, ell: _value(a, co.conj_block_l3(*js, a.eta)),
         eta=True),
-    _Op("eval --op conj-l2", {4: {2}}, lambda a, js, ell: _pair(co.conj_blocks_l2(*js, a.eta)),
+    _Op("eval --op conj-l2", {4: {2}}, lambda a, js, ell: _value(a, *co.conj_blocks_l2(*js, a.eta)),
         eta=True),
     _Op("eval --op monodromy-ratio", {4: {2}},
-        lambda a, js, ell: _value(co.monodromy_ratio_l2(js[0], js[1], js[3])), probe={2}),
+        lambda a, js, ell: _value(a, co.monodromy_ratio_l2(js[0], js[1], js[3])), probe={2}),
     _Op("eval --op selection", _ANY, _selection),
     # the two-point function in the standard frame vanishes unless the flows
     # sum to 1, so on two charges every op checks flow 1 only

@@ -203,11 +203,6 @@ def fourpoint_blocksums(ell: int, j1, j2, j4) -> Tuple[BlockSum, BlockSum]:
     raise ValueError("4-point blocks exist for ell in {1, 2, 3}")
 
 
-def blocks_l1(j2, j4, eta) -> Tuple[Scalar, Scalar]:
-    """The two flow-1 blocks at probe charge 1/2 (fourpoint_blocksums)."""
-    return tuple(b.value(eta) for b in fourpoint_blocksums(1, None, j2, j4))
-
-
 def blocks_l2_params(j1, j2, j4):
     return (
         (-j1 + 1, HALF, j4 + HALF),
@@ -238,13 +233,6 @@ def block_l3(j1, j2, j4, eta) -> Scalar:
 
 def block_l3_powersum(j1, j2, j4) -> PowerSum:
     return PowerSum.single(1, -j4 + 2, -j2 + HALF)
-
-
-def block_l3_general(j1, j2, j4, eta, alpha1: Scalar, alpha2: Scalar) -> Scalar:
-    """Pre-monodromy flow-3 family: alpha1 times the power block plus alpha2
-    times the incomplete-beta block."""
-    power, beta = fourpoint_blocksums(3, j1, j2, j4)
-    return (power.scale(alpha1) + beta.scale(alpha2)).value(eta)
 
 
 def blocks_l3(j1, j2, j4, eta) -> Tuple[Scalar, Scalar]:
@@ -366,36 +354,6 @@ def recursed_l2_terms(k: int, j1, j2, j4):
         second.append((lead * specfun.pochhammer(0.5, m) / norm,
                        (-j4c - m + 1, j2c, -j4c + 1.5)))
     return first, second
-
-
-def bulk_l2_crossterm_recursed(k: int, j1, j2, j4, eta) -> complex:
-    """Branch-mixing coefficient around eta = 1 for the k-recursed flow-2
-    blocks, with the coefficient ratio still taken from the base charges
-    (alpha11 = 1).  Termwise 0->1 splits of the finite sums; vanishes for
-    every k when the ratio is the monodromy-fixed one."""
-    alpha22 = monodromy_ratio_l2(j1, j2, j4)
-    j4c = to_complex(j4)
-    x = 1 - to_complex(eta)
-    etac = to_complex(eta)
-
-    def split(terms):
-        analytic = branch = 0j
-        for m, (d, (a, b, c)) in enumerate(terms):
-            ca, cb = specfun.connection_coeffs_01(a, b, c)
-            g = specfun.hyp2f1(a, b, a + b - c + 1, x)
-            h = specfun.hyp2f1(c - a, c - b, c - a - b + 1, x)
-            analytic += d * ca * g
-            branch += d * cb * x**m * h
-        return analytic, branch
-
-    first, second = recursed_l2_terms(k, j1, j2, j4)
-    p_one, q_one = split(first)
-    p_two, q_two = split(second)
-    pi1 = 2 * k + 1
-    pi2 = 2 * k - j4c + 1.5
-    return cpow(etac, 2 * pi1) * p_one * q_one + alpha22 * cpow(
-        etac, 2 * pi2
-    ) * p_two * q_two
 
 
 # ----------------------------------------------------------------------
@@ -716,7 +674,7 @@ class WardForm:
 
 
 # ----------------------------------------------------------------------
-# specialization maps
+# the standard frame
 # ----------------------------------------------------------------------
 
 
@@ -732,46 +690,12 @@ def standard_frame_data(*charges_and_ell):
     return [*js[:-1], last.j0_charge], [0] * (len(js) - 1) + [last.weight]
 
 
-def specialized_prefactor_exponents(j1, j2, j3, j4, ell: int):
-    """(p, q) with  G(eta) = eta^p (1-eta)^q H(eta)  in the frame
-    (oo, 1, eta, 0); p = e_34 and q = e_23 of the Ward exponents."""
+def unspecialize_block(block, j1, j2, j3, j4, ell: int) -> WardForm:
+    """Specialized block G(eta) -> the full 4-point function of (w1..w4).
+
+    In the frame (oo, 1, eta, 0), G(eta) = eta^p (1-eta)^q H(eta) with
+    p = e_34 and q = e_23 of the Ward exponents; the form carries H."""
     charges, weights = standard_frame_data(j1, j2, j3, j4, ell)
     e = ward_exponents(charges, weights)
-    return e[(3, 4)], e[(2, 3)]
-
-
-def specialize(h_block, j1, j2, j3, j4, ell: int):
-    """Ward H-function -> specialized correlator G(eta)."""
-    p, q = specialized_prefactor_exponents(j1, j2, j3, j4, ell)
-    return h_block.mul_power(p, q)
-
-
-def h_from_specialized(block, j1, j2, j3, j4, ell: int):
-    """Specialized correlator G(eta) -> Ward H-function."""
-    p, q = specialized_prefactor_exponents(j1, j2, j3, j4, ell)
-    return block.mul_power(-p, -q)
-
-
-def unspecialize(h_block, j1, j2, j3, j4, ell: int) -> WardForm:
-    """Ward H-function -> the full 4-point function of (w1..w4)."""
-    charges, weights = standard_frame_data(j1, j2, j3, j4, ell)
-    return WardForm(charges, weights, as_blocksum(h_block))
-
-
-def unspecialize_block(block, j1, j2, j3, j4, ell: int) -> WardForm:
-    """Specialized block G(eta) -> the full 4-point function."""
-    h = h_from_specialized(as_blocksum(block), j1, j2, j3, j4, ell)
-    return unspecialize(h, j1, j2, j3, j4, ell)
-
-
-def specialize_wardform_numeric(form: WardForm, eta, w1: float = 1.0e7) -> complex:
-    """lim w1^(2 h1 - q1) F(w1, 1, eta, 0) by direct large-w1 evaluation."""
-    scale = cpow(w1, 2 * to_complex(form.weights[0]) - to_complex(form.charges[0]))
-    return scale * form.value([w1, 1.0, eta, 0.0])
-
-
-def specialize_wardform_exact(form: WardForm, eta) -> complex:
-    """The same limit read off exactly from the exponent bookkeeping."""
-    e = form.exponents
-    pre = cpow(eta, e[(3, 4)]) * cpow(1 - to_complex(eta), e[(2, 3)])
-    return form.h.value(eta) * pre
+    h = as_blocksum(block).mul_power(-e[(3, 4)], -e[(2, 3)])
+    return WardForm(charges, weights, h)

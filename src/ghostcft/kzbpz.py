@@ -381,22 +381,6 @@ def kz_decoupled_residual(block, j3,
                       lambda eta: to_complex(j3) / to_complex(eta) * g.value(eta))
 
 
-def kz_fourpoint_constant_relations(charges) -> bool:
-    """The flow-1 4-point constants are invariant under every
-    (j_i + 1, j_4 - 1) shift: exact identity of the specialized family."""
-    j1, j2, j3, j4 = map(as_fraction, charges)
-    fam = FourPointL1Family()
-    base = fam.specialized((j1, j2, j3, j4))
-    same_12 = [
-        fam.specialized((j1 + 1, j2, j3, j4 - 1)),
-        fam.specialized((j1, j2 + 1, j3, j4 - 1)),
-    ]
-    if any(s != base for s in same_12):
-        return False
-    shifted3 = fam.specialized((j1, j2, j3 + 1, j4 - 1))
-    return shifted3 == base.mul_power(1, 0)
-
-
 # ----------------------------------------------------------------------
 # BPZ residuals
 # ----------------------------------------------------------------------
@@ -508,17 +492,6 @@ def threept_constraint_check(j1, j2, j3, ell: int) -> ThreePtVerdict:
     # (for ell >= 3 no cross monomial means fam_a = fam_b = 0, so every
     # coefficient vanishes and the companion constants are zero)
     return ThreePtVerdict("relations-hold")
-
-
-def threept_shifted_constants(j1, j2, j3, ell: int):
-    """(C(j1+1, j2, j3-1), C(j1, j2+1, j3-1)) read off the pure monomials,
-    for C(j1, j2, j3) = 1."""
-    j1f, j2f, j3f = map(as_fraction, (j1, j2, j3))
-    fam = ThreePointFamily(ell)
-    return (
-        fam.shifted_constant(1, (j1f, j2f, j3f)),
-        fam.shifted_constant(2, (j1f, j2f, j3f)),
-    )
 
 
 # ----------------------------------------------------------------------

@@ -36,9 +36,6 @@ from .checks import (
     check_mode_commutators_under_L,
     check_singlet_commutes_with_current,
     check_virasoro,
-    in_extended_kac_table,
-    kac_locus_check,
-    kac_locus_weight,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

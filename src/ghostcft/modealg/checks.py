@@ -1,9 +1,7 @@
 """Verification routines for the mode algebra: the degenerate (null) vector
-at charge 1/2, commutator suites on states, flow conditions, and the
-discrete locus of charges admitting such vectors."""
+at charge 1/2, commutator suites on states and flow conditions."""
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Optional
@@ -71,23 +69,6 @@ def chi_null_check(generic_charge=Fraction(1, 4)) -> NullVectorReport:
     vanishes = chi_state(GhostState.primary(Fraction(1, 2))).is_zero()
     nonzero = not chi_state(GhostState.primary(Fraction(generic_charge))).is_zero()
     return NullVectorReport(matches, vanishes, nonzero)
-
-
-def kac_locus_weight(j: Fraction) -> Fraction:
-    return Fraction(j) * (Fraction(j) - 1) / 2
-
-
-def in_extended_kac_table(h: Fraction) -> bool:
-    """h in { s(s-2)/8 : s in N }, i.e. 1 + 8h is the square of an integer
-    (s = 1 + sqrt(1 + 8h))."""
-    d = 1 + 8 * Fraction(h)
-    return d.denominator == 1 and d >= 0 and math.isqrt(d.numerator) ** 2 == d.numerator
-
-
-def kac_locus_check(j) -> bool:
-    """True iff the charge-j singlet weight sits in the extended Kac table,
-    which happens exactly for 2j integral."""
-    return in_extended_kac_table(kac_locus_weight(Fraction(j)))
 
 
 # ----------------------------------------------------------------------

@@ -13,7 +13,6 @@ opaque here and expand only when acting on states.
 """
 from __future__ import annotations
 
-import re
 from fractions import Fraction
 from typing import Dict, Tuple
 
@@ -138,10 +137,6 @@ class ModeExpr(LinComb):
     def virasoro(cls, n: int) -> "ModeExpr":
         return cls.of(mode(VIRASORO, n))
 
-    @classmethod
-    def singlet(cls, n: int) -> "ModeExpr":
-        return cls.of(mode(SINGLET, n))
-
     # -- algebra ---------------------------------------------------------
     def __mul__(self, other: "ModeExpr") -> "ModeExpr":
         out: Dict[Word, Fraction] = {}
@@ -169,32 +164,6 @@ class ModeExpr(LinComb):
 
     def __repr__(self) -> str:
         return f"ModeExpr[{self.to_text()}]"
-
-    @classmethod
-    def from_text(cls, text: str) -> "ModeExpr":
-        text = text.strip()
-        if text == "0":
-            return cls.zero()
-        terms: Dict[Word, Fraction] = {}
-        for piece in text.split(" + "):
-            m = re.fullmatch(r"\((?P<c>[^)]*)\)\*(?P<body>.*)", piece.strip())
-            if not m:
-                raise ValueError(f"cannot parse term {piece!r}")
-            coeff = Fraction(m.group("c"))
-            body = m.group("body")
-            if body == "1":
-                word: Word = ()
-            else:
-                modes = []
-                for tok in body.split("*"):
-                    mm = re.fullmatch(r"(?P<fam>[A-Za-z]+)\[(?P<n>-?\d+)\]", tok)
-                    if not mm:
-                        raise ValueError(f"cannot parse mode {tok!r}")
-                    modes.append(mode(mm.group("fam"), int(mm.group("n"))))
-                word = tuple(modes)
-            terms[word] = terms.get(word, Fraction(0)) + coeff
-        return cls(terms)
-
 
 def normal_order(expr: ModeExpr) -> ModeExpr:
     """Normal order a pure-ghost expression (idempotent, linear)."""

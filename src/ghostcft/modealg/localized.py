@@ -127,18 +127,3 @@ def localized_twist(e: LocalExpr, k) -> LocalExpr:
         accumulate(out, factor.terms)
     return LocalExpr(out)
 
-
-def charge_zero_mode_localized() -> LocalExpr:
-    """The zero-mode part g0 b0 of the charge operator (the only piece of
-    J_0 that Theta_k moves)."""
-    return LocalExpr.gamma(0) * LocalExpr.beta(0)
-
-
-def virasoro_zero_window(window: int) -> LocalExpr:
-    """L_0's bilinear sum truncated to |index| <= window; contains no b_0,
-    hence is fixed by every Theta_k."""
-    out: Dict[LocalKey, Fraction] = {}
-    for c in range(1, window + 1):
-        accumulate(out, (LocalExpr.beta(-c) * LocalExpr.gamma(c)).terms, c)
-        accumulate(out, (LocalExpr.gamma(-c) * LocalExpr.beta(c)).terms, -c)
-    return LocalExpr(out)

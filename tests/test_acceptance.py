@@ -52,6 +52,9 @@ def test_criterion_1_mode_algebra():
     ok &= modealg.check_virasoro(probe[:4], Fraction(2), modealg.act_virasoro, rng)
     ok &= modealg.check_virasoro(probe[:3], Fraction(-2), modealg.act_singlet, rng)
     ok &= modealg.check_singlet_commutes_with_current(probe[:3], rng)
+    # the free-field brackets [L_m, b_n] and [L_m, g_n] that the derivation
+    # kernel of J and L is built on, exactly
+    ok &= modealg.check_mode_commutators_under_L(probe, rng)
     assert _line(1, "mode algebra exact (null vector, brackets, c=2/-2)", ok)
 
 

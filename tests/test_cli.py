@@ -290,6 +290,13 @@ def test_configuration_error_exit_code(capsys):
     ["residual", "--op", "ward", "--tolerance", "-1", "--charges", "0.3,0.7"],
     ["residual", "--op", "ward", "--tolerance", "nan", "--charges", "0.3,0.7"],
     ["identity-check", "--tolerance", "inf"],
+    # a 2F1 at a first parameter of order 1e5 sums to nan: refused, not printed
+    ["eval", "--op", "blocks-l2", "--ell", "2", "--charges", "100000.0,-7/11,1/2,0.8",
+     "--eta", "0.3"],
+    ["scan", "--ell", "2", "--charges", "100000.0,-7/11", "--j4", "1/2",
+     "--eta-grid", "0.1,0.9,4"],
+    ["recurse", "--ell", "2", "--charges", "5000.0,-4998.7,1/2,0.2", "--k", "1",
+     "--eta-grid", "0.1,0.9,3"],
 ])
 def test_bad_input_exit_code(capsys, argv):
     assert main(argv) == 2
@@ -369,7 +376,9 @@ def _argv(name, charges, ell):
 
 def _outside_the_table():
     for name, op in cli._OPS.items():
-        if op.shapes is None:
+        if op.shapes is None:  # any count from 1 up, at any flow
+            yield pytest.param(name, _argv(name, 0, 1), "at least 1 charge; got 0",
+                               id=f"{name}-N0")
             continue
         for n in range(7):
             if n not in op.shapes:
@@ -424,7 +433,7 @@ def _readme_row(name, n, op):
         if probe != flows:
             rule += " at flow " + " or ".join(map(str, sorted(probe)))
         premises.append(rule)
-    cells = [f"`{name}`", "any" if n is None else str(n),
+    cells = [f"`{name}`", "1 or more" if n is None else str(n),
              "any" if flows is None else ", ".join(map(str, sorted(flows))),
              "; ".join(premises) or "none"]
     return "| " + " | ".join(cells) + " |"

@@ -144,7 +144,7 @@ def test_blocks_l1_match_their_blocksums():
     power = BlockSum.power(1, 0.5, 0)
     beta = BlockSum.incomplete_beta(1, 0.5, 0, -j4 + 0.5, -j2 + 0.5)
     for eta in (0.13, 0.5, 0.81):
-        b1, b2 = co.blocks_l1(j2, j4, eta)
+        b1, b2 = (b.value(eta) for b in co.fourpoint_blocksums(1, None, j2, j4))
         assert_close(b1, power.value(eta), 1e-14)
         assert_close(b2, beta.value(eta), 1e-12)
 
@@ -175,8 +175,6 @@ def test_block_l3_reductions():
     j1, j2 = 0.35, 0.8
     j4 = 2.5 - j1 - j2
     eta = 0.37
-    full = co.block_l3_general(j1, j2, j4, eta, 1.0, 0.0)
-    assert_close(full, co.block_l3(j1, j2, j4, eta), 1e-14)
     # zero-exponent corner: j4 = 2 and j2 = 1/2 give a constant
     assert_close(co.block_l3(0.0, 0.5, 2.0, 0.9), 1.0, 1e-14)
     b1, b2 = co.blocks_l3(j1, j2, j4, eta)
@@ -286,15 +284,6 @@ def test_bulk_crossterm_vanishes(rng):
             continue
         for eta in (0.9, 0.97):
             assert co.bulk_l2_crossterm_residual(j1, j2, j4, eta) < 1e-10
-
-
-def test_bulk_crossterm_recursed_k_independent():
-    j1, j2 = 0.35, 0.8
-    j4 = 1.5 - j1 - j2
-    for k in (0, 1, 2):
-        for eta in (0.9, 0.97):
-            val = co.bulk_l2_crossterm_recursed(k, j1, j2, j4, eta)
-            assert abs(val) < 1e-10
 
 
 def test_bulk_three_point_limit():
@@ -449,17 +438,20 @@ def test_conj_blocks_l2_small_eta_normalization():
 
 
 # ----------------------------------------------------------------------
-# specialization maps
+# the standard frame
 # ----------------------------------------------------------------------
 
 
-def test_specialize_round_trip_power_block():
-    j1, j2, j3 = Fraction(3, 10), Fraction(2, 5), Fraction(27, 100)
-    j4 = 1 - j1 - j2 - j3
-    block = PowerSum.single(Fraction(1), j3)
-    h = co.h_from_specialized(block, j1, j2, j3, j4, 1)
-    back = co.specialize(h, j1, j2, j3, j4, 1)
-    assert back.equals(block)
+def _bra_limit(form, eta, w1):
+    """w1^(2 h1 - q1) F(w1, 1, eta, 0) at one large w1: the field at infinity
+    contracted against w^(2h-j)."""
+    return w1 ** (2 * form.weights[0] - form.charges[0]) * form.value([w1, 1.0, eta, 0.0])
+
+
+def _bra_exact(form, eta):
+    """The same limit read off the Ward exponents: eta^e_34 (1-eta)^e_23 H."""
+    e = form.exponents
+    return form.h.value(eta) * eta ** e[(3, 4)] * (1 - eta) ** e[(2, 3)]
 
 
 def test_unspecialize_round_trip_values():
@@ -469,8 +461,8 @@ def test_unspecialize_round_trip_values():
         F = co.unspecialize_block(blk, j1, j2, 0.5, j4, 2)
         for eta in (0.17, 0.42, 0.73):
             direct = blk.value(eta)
-            assert rel_err(co.specialize_wardform_exact(F, eta), direct) < 1e-12
-            assert rel_err(co.specialize_wardform_numeric(F, eta), direct) < 1e-5
+            assert rel_err(_bra_exact(F, eta), direct) < 1e-12
+            assert rel_err(_bra_limit(F, eta, 1e7), direct) < 1e-5
 
 
 def test_unspecialized_block_satisfies_ward_identities():
@@ -489,7 +481,7 @@ def test_bra_limit_scaling_convention():
     j4 = 1.5 - j1 - j2
     blk = co.blocks_l2_blocksums(j1, j2, j4)[0]
     F = co.unspecialize_block(blk, j1, j2, 0.5, j4, 2)
-    vals = [co.specialize_wardform_numeric(F, 0.37, w1) for w1 in (1e5, 1e7)]
+    vals = [_bra_limit(F, 0.37, w1) for w1 in (1e5, 1e7)]
     want = blk.value(0.37)
     assert abs(vals[1] - want) < abs(vals[0] - want) < 1e-3 * abs(want)
 

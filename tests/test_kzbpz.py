@@ -162,9 +162,15 @@ def test_specialized_flow_one_identities():
 
 
 def test_fourpoint_constant_relations_exact():
-    charges = (Fraction(3, 10), Fraction(2, 5), Fraction(27, 100),
-               1 - Fraction(97, 100))
-    assert kz.kz_fourpoint_constant_relations(charges)
+    # the flow-1 4-point constants are invariant under every (j_i + 1, j4 - 1)
+    # shift: an exact identity of the specialized family
+    j1, j2, j3, j4 = (Fraction(3, 10), Fraction(2, 5), Fraction(27, 100),
+                      1 - Fraction(97, 100))
+    fam = kz.FourPointL1Family()
+    base = fam.specialized((j1, j2, j3, j4))
+    assert fam.specialized((j1 + 1, j2, j3, j4 - 1)) == base
+    assert fam.specialized((j1, j2 + 1, j3, j4 - 1)) == base
+    assert fam.specialized((j1, j2, j3 + 1, j4 - 1)) == base.mul_power(1, 0)
 
 
 # ----------------------------------------------------------------------
@@ -263,12 +269,13 @@ def test_threept_constraint_must_vanish_with_monomial():
 def test_threept_shifted_constants_flow_two():
     j1, j2 = Fraction(3, 10), Fraction(2, 5)
     j3 = 2 - j1 - j2
-    c1, c2 = kz.threept_shifted_constants(j1, j2, j3, 2)
-    assert c1 == (j3 - 1) / j1
-    assert c2 == -(j3 - 1) / j2
+    # (C(j1+1, j2, j3-1), C(j1, j2+1, j3-1)) for C(j1, j2, j3) = 1
+    fam = kz.ThreePointFamily(2)
+    assert fam.shifted_constant(1, (j1, j2, j3)) == (j3 - 1) / j1
+    assert fam.shifted_constant(2, (j1, j2, j3)) == -(j3 - 1) / j2
     # flow 1: all constants equal
-    c1, c2 = kz.threept_shifted_constants(j1, j2, 1 - j1 - j2, 1)
-    assert c1 == 1 and c2 == 1
+    fam, js = kz.ThreePointFamily(1), (j1, j2, 1 - j1 - j2)
+    assert fam.shifted_constant(1, js) == 1 and fam.shifted_constant(2, js) == 1
 
 
 # ----------------------------------------------------------------------

@@ -1,5 +1,5 @@
 """State-level mode algebra: primary actions, composite modes, the
-charge-1/2 degenerate vector, flows, the localized twist and the Kac locus."""
+charge-1/2 degenerate vector, flows and the localized twist."""
 from fractions import Fraction
 
 import pytest
@@ -26,7 +26,6 @@ from ghostcft.modealg import (
     check_virasoro,
     chi_null_check,
     chi_state,
-    kac_locus_check,
     localized_twist,
 )
 from ghostcft.lincomb import accumulate
@@ -36,10 +35,6 @@ from ghostcft.modealg.jl import (
     apply_current_squared,
     apply_singlet,
     apply_virasoro,
-)
-from ghostcft.modealg.localized import (
-    charge_zero_mode_localized,
-    virasoro_zero_window,
 )
 
 half = Fraction(1, 2)
@@ -466,7 +461,7 @@ def test_chi_singlet_vs_direct_before_expansion():
 
 
 # ----------------------------------------------------------------------
-# flows, localization, Kac locus
+# flows and localization
 # ----------------------------------------------------------------------
 
 
@@ -483,12 +478,28 @@ def test_localized_twist_defining_relations():
     assert localized_twist(b0, 0) == b0
 
 
+def _charge_zero_mode_localized():
+    """The zero-mode part g0 b0 of the charge operator (the only piece of J_0
+    that Theta_k moves)."""
+    return LocalExpr.gamma(0) * LocalExpr.beta(0)
+
+
+def _virasoro_zero_window(window):
+    """L_0's bilinear sum truncated to |index| <= window; contains no b_0,
+    hence is fixed by every Theta_k."""
+    out = {}
+    for c in range(1, window + 1):
+        accumulate(out, (LocalExpr.beta(-c) * LocalExpr.gamma(c)).terms, c)
+        accumulate(out, (LocalExpr.gamma(-c) * LocalExpr.beta(c)).terms, -c)
+    return LocalExpr(out)
+
+
 def test_localized_twist_charge_and_weight():
-    j0_part = charge_zero_mode_localized()
+    j0_part = _charge_zero_mode_localized()
     for k in (Fraction(-3, 2), Fraction(-1), half, Fraction(2)):
         shifted = localized_twist(j0_part, k)
         assert shifted - j0_part == LocalExpr.one(k)
-    l0 = virasoro_zero_window(5)
+    l0 = _virasoro_zero_window(5)
     for k in (Fraction(-3, 2), Fraction(-1), half, Fraction(2)):
         assert localized_twist(l0, k) == l0
 
@@ -525,13 +536,6 @@ def test_localized_twist_requires_context():
 
     with pytest.raises(ContextError):
         localized_twist(ModeExpr.beta(0), 1)  # plain expression, no g0^{-1}
-
-
-def test_kac_locus_quarter_integer_scan():
-    charges = [Fraction(q, 4) for q in range(-12, 13)]
-    charges += [Fraction(201, 2), Fraction(-150), Fraction(250), Fraction(803, 4)]
-    for j in charges:
-        assert kac_locus_check(j) == ((2 * j).denominator == 1)
 
 
 def test_state_serialization_deterministic():
