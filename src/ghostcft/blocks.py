@@ -10,20 +10,19 @@ whose like terms merge as a sum is built:
   ``canonical()`` picks the unique representative of an exact sum: it splits
   the sum into exponent classes, each eta^P (1-eta)^Q times a polynomial
   with int coefficients over one int denominator (``classes()``, sorted by
-  class), and reduces each class (``from_classes()``).  The exact recursion
-  steps those int coefficients through all its steps and reduces once at the
-  end, so it returns only the terms of the closed form at any depth.
+  class), and reduces each class (``from_classes()``).  The charge-shift
+  recursion steps those int coefficients through all its steps and reduces
+  once at the end, so it returns only the terms of the closed form.
 
 * BlockSum -- a sum of c * eta^p (1-eta)^q * payload(eta), keyed by
   (p, q, kind, params), where each payload is one of {1, 2F1(a,b;c;eta),
   3F2(...; -eta/(1-eta)), B(a,b;eta)}.  The same closure properties hold
-  (payload derivatives shift parameters), so the recursion and the
-  second-order BPZ operator evaluate analytically, with no finite
-  differencing; a k-step numeric recursion carries (k+1)^2 merged terms
-  (a numeric sum has no canonical form).  ``values_at`` evaluates a
-  sequence of sums at one eta and evaluates each distinct payload once,
-  in a payload dict its caller owns: ``BlockSum.value`` passes a fresh one,
-  and ``correlators.WardForm`` keeps one per eta for H, H' and H''.
+  (payload derivatives shift parameters), so the second-order BPZ operator
+  evaluates analytically, with no finite differencing.  ``values_at``
+  evaluates a sequence of sums at one eta and evaluates each distinct
+  payload once, in a payload dict its caller owns: ``BlockSum.value`` passes
+  a fresh one, and ``correlators.WardForm`` keeps one per eta for H, H' and
+  H''.  A recursed 2F1 block has two payloads, u and u', at any depth.
 """
 from __future__ import annotations
 
@@ -90,7 +89,7 @@ class PowerSum(LinComb):
         total: Scalar = 0
         if type(eta) is float and self.is_exact():
             n, d = eta.as_integer_ratio()
-            for p_frac, q_frac, p0, q0, den, nums in self.classes():
+            for p_frac, q_frac, p0, q0, den, nums, _bnums in self.classes():
                 deg = len(nums) - 1
                 poly = sum(c * n**i * d**(deg - i) for i, c in enumerate(nums)) / (den * d**deg)
                 total = total + poly * cpow(eta, p_frac + p0) * cpow(one_minus, q_frac + q0)
@@ -126,10 +125,11 @@ class PowerSum(LinComb):
         exponent shifts.  Within a class every term is brought to the
         class-minimal q by expanding surplus (1-eta) powers, so the class is
         eta^P (1-eta)^Q sum_k a_k eta^k with a_0 != 0.  It is returned as
-        (p_frac, q_frac, p0, q0, den, nums) with P = p_frac + p0,
+        (p_frac, q_frac, p0, q0, den, nums, None) with P = p_frac + p0,
         Q = q_frac + q0 and a_k = nums[k] / den: ``den`` is a positive int,
-        ``nums`` a list of ints, and gcd(den, *nums) = 1.  A class whose
-        terms cancel is left out."""
+        ``nums`` a list of ints, and gcd(den, *nums) = 1 (None: no payload
+        derivative, see ``kzbpz._exact_steps``).  A class whose terms cancel
+        is left out."""
         # split each exponent once: the class is keyed by the fractional
         # parts, and the loops below work on int offsets alone
         groups: dict = {}
@@ -156,7 +156,7 @@ class PowerSum(LinComb):
                 p0 = min(flat)
                 nums = [flat.get(p, 0) for p in range(p0, max(flat) + 1)]
                 g = gcd(den, *nums)
-                out.append((p_frac, q_frac, p0, q_min, den // g, [c // g for c in nums]))
+                out.append((p_frac, q_frac, p0, q_min, den // g, [c // g for c in nums], None))
         return out
 
     @classmethod
@@ -166,7 +166,7 @@ class PowerSum(LinComb):
         every factor (1-eta) of the polynomial is divided out, leaving the
         unique representative that vanishes at neither eta = 0 nor 1."""
         out: dict = {}
-        for p_frac, q_frac, p0, q0, den, nums in classes:
+        for p_frac, q_frac, p0, q0, den, nums, _bnums in classes:
             lo, nums = _strip_zero_ends(nums)
             p0 += lo
             # A(1) = 0: A(eta) = (1-eta) B(eta) with B_j = a_0 + ... + a_j
@@ -234,12 +234,22 @@ def values_at(sums: Sequence["BlockSum"], eta: Scalar, payloads: dict) -> list:
     first time a term of any sum needs it.  The types are in the key
     because an exact parameter can take another route through ``specfun``
     than an equal float.  Each term is c * eta^p, times (1-eta)^q when
-    q != 0, times its payload, added in the order of the sum."""
+    q != 0, times its payload, added in the order of the sum; at a real
+    float eta, a sum of several terms with exact c, p and q is first summed
+    per payload by ``PowerSum.eval``, which rounds once per class."""
     one_minus = 1 - to_complex(eta)
     out = []
     for bs in sums:
+        terms = bs.terms.items()
+        if type(eta) is float and len(terms) > 1 and all(
+                all_exact(c, p, q) for (p, q, _kind, _params), c in terms):
+            parts: dict = {}
+            for (p, q, kind, params), c in terms:
+                parts.setdefault((kind, params, tuple(map(type, params))), {})[(p, q)] = c
+            terms = [((0, 0, kind, params), PowerSum(part).eval(eta))
+                     for (kind, params, _types), part in parts.items()]
         total = 0j
-        for (p, q, kind, params), c in bs.terms.items():
+        for (p, q, kind, params), c in terms:
             # a factor (1-eta)^0 or a payload 1 is skipped, not multiplied in
             term = c * cpow(eta, p)
             if q != 0:

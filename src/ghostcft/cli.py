@@ -215,28 +215,22 @@ def _bpz(args, js, ell):
 
 def _recurse(args, js, ell) -> dict:
     j1, j2, j3, j4 = js
-    exact = all_exact(*js)
-    if ell == 1:
-        block = kz.FourPointL1Family(Fraction(1) if exact else 1.0).specialized(js)
-    elif ell == 2:
+    if ell == 2:
         block = co.fourpoint_blocksums(2, j1, j2, j4)[args.block - 1]
-    else:
-        # the monodromy-selected power block; exact inputs keep it exact
-        block = (
-            co.block_l3_powersum(j1, j2, j4)
-            if exact
-            else co.fourpoint_blocksums(3, j1, j2, j4)[0]
-        )
+    else:  # flow 1's eta^j3, or flow 3's monodromy-selected power block
+        block = kz.FourPointL1Family().specialized(js) if ell == 1 else co.block_l3_powersum(
+            j1, j2, j4)
     result = kz.recursion_iterate(block, (j1, j2, j3, j4), ell, args.k)
     payload = {
         "ell": ell,
         "k": args.k,
         "charges": [str(c) for c in js],
         "final_charges": [str(j1), str(j2), str(j3 + args.k), str(j4 - args.k)],
-        "exact": isinstance(result, PowerSum) and result.is_exact(),
+        # float charges run exactly on their binary values, but are not exact
+        "exact": isinstance(result, PowerSum) and all_exact(*js),
     }
-    if isinstance(result, PowerSum):
-        payload["block"] = result.canonical().to_text() if result.is_exact() else result.to_text()
+    if payload["exact"]:
+        payload["block"] = result.canonical().to_text()
     if args.eta_grid:
         values = []
         for eta in args.eta_grid:

@@ -1,6 +1,6 @@
 """Residual engines for the Ward, charge-shift (KZ), algebraic-KZ and
 second-order (BPZ) constraints, the 3-point constant recursions, and the
-charge-shift recursion algorithm in exact and numeric modes.
+charge-shift recursion algorithm.
 
 The recursion operates in the specialized frame (oo, 1, eta, 0), where the
 w-space identity collapses to
@@ -16,11 +16,10 @@ identification of the specialized shifted correlators, is the input block
 itself (for flow 1 that identification is the displayed equality of
 shifted correlators; it is what reproduces every higher-flow closed form).
 
-On an exact PowerSum with exact charges, the recursion runs in one integer
-kernel (``_exact_steps``): the sum is split into its exponent classes once,
-a two-term recurrence steps the int coefficients of each class through all k
-steps, and the canonical sum is built once at the end.  A numeric sum or a
-BlockSum takes the generic path through the sum algebra.
+Every recursion runs in one integer kernel (``_exact_steps``), on the
+binary value of a float: the block is split into its exponent classes once,
+and a recurrence steps the int coefficients of each class, A of u and B of
+u' for a 2F1 payload u (whose ODE closes span{u, u'}), through all k steps.
 """
 from __future__ import annotations
 
@@ -39,8 +38,8 @@ from .correlators import (
     unspecialize_block,
     ward_exponents,
 )
-from .errors import ChargeError, DivisionByZeroCharge, MissingCompanion
-from .scalars import Scalar, all_exact, as_fraction, cpow, relative_gap, to_complex
+from .errors import ChargeError, DivisionByZeroCharge, MissingCompanion, ParamError, PoleError
+from .scalars import Scalar, as_fraction, cpow, relative_gap, to_complex
 
 # Deterministic cross-ratio samples used by every residual sweep.
 DEFAULT_ETA_POINTS: Tuple[complex, ...] = (
@@ -255,22 +254,15 @@ class ThreePointFamily:
 
 
 class FourPointL1Family:
-    """The flow-1 4-point solution eta^{j3} with charge-independent constant."""
+    """The flow-1 4-point solution eta^{j3}, with constant 1."""
 
     ell = 1
 
-    def __init__(self, constant: Scalar = 1):
-        self.constant = constant
-
-    def _block(self, j3) -> PowerSum:
-        return PowerSum.single(self.constant, j3, 0)
-
     def specialized(self, charges) -> PowerSum:
-        return self._block(charges[2])
+        return PowerSum.single(1, charges[2])
 
     def base(self, charges) -> WardForm:
-        j1, j2, j3, j4 = charges
-        return unspecialize_block(self._block(j3), j1, j2, j3, j4, 1)
+        return unspecialize_block(self.specialized(charges), *charges, 1)
 
     def companion(self, i: int, charges) -> WardForm:
         j1, j2, j3, j4 = charges
@@ -278,7 +270,7 @@ class FourPointL1Family:
         if i not in shifts:
             raise MissingCompanion(f"no shift index {i} for N=4")
         a, b, c = shifts[i]
-        return unspecialize_block(self._block(c), a, b, c, j4 - 1, 1)
+        return unspecialize_block(PowerSum.single(1, c), a, b, c, j4 - 1, 1)
 
 
 def kz_residual_m2(family, charges, points=None,
@@ -501,107 +493,111 @@ def threept_constraint_check(j1, j2, j3, ell: int) -> ThreePtVerdict:
 Block = Union[PowerSum, BlockSum]
 
 
-def _exact_steps(classes, charges, ell: int, k: int) -> list:
-    """k steps of the exact charge-shift recursion on the exponent classes
-    of ``PowerSum.classes()``, charges marching (j3 + t, j4 - t).
+def _exact_steps(classes, charges, ell: int, k: int, ode=None) -> list:
+    """k steps of the charge-shift recursion on the exponent classes of
+    ``PowerSum.classes()``, charges marching (j3 + t, j4 - t), exactly: a
+    float charge enters as its binary value.
 
-    Each class eta^P (1-eta)^Q A(eta), A = nums / den, becomes
-    eta^(P+l) (1-eta)^Q B(eta) with
+    A class eta^P (1-eta)^Q (A u + B u'), A = nums / den, B = bnums / den,
+    with a payload u that solves eta (1-eta) u'' = (s eta - r) u' + m u,
+    ode = (m, s, r), becomes eta^(P+l) (1-eta)^Q (A' u + B' u') with
 
-        B_i = -(1/j3) [(down - i) a_i + (up + i) a_(i-1)],
+        A'_i = -(1/j3) [(down - i) a_i + (up + i) a_(i-1) - m b_i],
+        B'_i = -(1/j3) [(down + r - i) b_i + (up - s + i) b_(i-1)
+                        - a_(i-1) + a_(i-2)],
         down = b - P,  up = P + Q + a + j2 - 1,
 
-    a = h4l + j1 + (l-1) j2 and b = (l-1) j3.  With down = dn/L and
-    up = un/L over L = lcm of their denominators, and j3 = jn/jd, B is one
-    int list over the denominator den L |jn|, reduced by its gcd.  The
-    factors (1-eta) of B stay in it: ``PowerSum.from_classes`` divides them
-    out of the last step's classes, and its canonical form is unique.
-    """
-    j1, j2, j3, j4 = map(as_fraction, charges)
-    for t in range(k):
-        jt = j3 + t
-        if jt == 0:
-            raise DivisionByZeroCharge("the shifted charge j3 must be non-zero")
-        a_coeff = GhostPrimary(j4 - t, ell).weight + j1 + (ell - 1) * j2
-        b_coeff = (ell - 1) * jt
-        # -(1/j3) = factor / |jn|
-        factor = -jt.denominator if jt > 0 else jt.denominator
-        abs_jn = abs(jt.numerator)
-        stepped = []
-        for p_frac, q_frac, p0, q0, den, nums in classes:
-            p = p_frac + p0
-            down = b_coeff - p
-            up = p + q_frac + q0 + a_coeff + j2 - 1
-            big_l = math.lcm(down.denominator, up.denominator)
-            dn = down.numerator * (big_l // down.denominator)
-            un = up.numerator * (big_l // up.denominator)
-            nums = [factor * ((dn - i * big_l) * c + (un + i * big_l) * prev)
-                    for i, (c, prev) in enumerate(zip(nums + [0], [0] + nums))]
-            den = den * big_l * abs_jn
-            g = math.gcd(den, *nums)
-            lo, nums = _strip_zero_ends(nums)
-            if nums:
-                stepped.append((p_frac, q_frac, p0 + lo + ell, q0, den // g,
-                                [c // g for c in nums]))
-        classes = stepped
-    return classes
+    a = h4l + j1 + (l-1) j2 and b = (l-1) j3; a power block (u = 1) has no
+    ode and bnums None.  Over L = lcm of the denominators of down, up and
+    the ode, and j3 = jn/jd, A' and B' are int lists over the denominator
+    den L |jn|, reduced by their gcd; each class steps on its own, with L
+    fixed.  The factors (1-eta) of A' stay in it: ``PowerSum.from_classes``
+    divides them out at the end."""
+    j1, j2, j3, j4 = map(Fraction, charges)
+    if j3.denominator == 1 and -k < j3 <= 0:
+        raise DivisionByZeroCharge("the shifted charge j3 must be non-zero")
+    a_coeff = GhostPrimary(j4, ell).weight + j1 + (ell - 1) * j2
+    jn, jd = j3.numerator, j3.denominator
+    stepped = []
+    for p_frac, q_frac, p0, q0, den, nums, bnums in classes:
+        p = p_frac + p0
+        down, up = (ell - 1) * j3 - p, p + q_frac + q0 + a_coeff + j2 - 1
+        big_l = math.lcm(down.denominator, up.denominator, *(x.denominator for x in ode or ()))
+        dn, un = (x.numerator * (big_l // x.denominator) for x in (down, up))
+        mn, sn, rn = (x.numerator * (big_l // x.denominator) for x in ode or (0, 0, 0))
+        for t in range(k):
+            # -(1/(j3 + t)) = factor / |jt|
+            jt = jn + t * jd
+            factor = -jd if jt > 0 else jd
+            if bnums is None:
+                nums = [factor * ((dn - i * big_l) * c + (un + i * big_l) * prev)
+                        for i, (c, prev) in enumerate(zip(nums + [0], [0] + nums))]
+            else:
+                # zero-padded, so that a[-2], a[-1] and b[-1] read 0
+                a, b = nums + [0] * (len(bnums) + 2), bnums + [0] * (len(nums) + 2)
+                nums, bnums = (
+                    [factor * ((dn - i * big_l) * a[i] + (un + i * big_l) * a[i - 1] - mn * b[i])
+                     for i in range(max(len(nums) + 1, len(bnums)))],
+                    [factor * ((dn + rn - i * big_l) * b[i] + (un - sn + i * big_l) * b[i - 1]
+                               - big_l * (a[i - 1] - a[i - 2]))
+                     for i in range(max(len(bnums) + 1, len(nums) + 2))])
+            den = den * big_l * abs(jt)
+            g = math.gcd(den, *nums, *(bnums or ()))
+            lo, nums = _strip_zero_ends(nums) if bnums is None else (0, nums)
+            if not (any(nums) or any(bnums or ())):
+                break  # the class vanishes
+            den, nums, bnums = den // g, [c // g for c in nums], bnums and [c // g for c in bnums]
+            # the next step's P is P + l + lo, so down falls by 1 + lo and up rises by lo
+            p0, dn, un = p0 + lo + ell, dn - (1 + lo) * big_l, un + lo * big_l
+        else:
+            stepped.append((p_frac, q_frac, p0, q0, den, nums, bnums))
+    return stepped
 
 
-def _is_exact_powersum(block: Block, charges) -> bool:
-    return isinstance(block, PowerSum) and all_exact(*charges) and block.is_exact()
+def _two_f1_steps(block: BlockSum, charges, ell: int, k: int) -> BlockSum:
+    """``_exact_steps`` on A u, u = 2F1(a, b; c; eta), to A u + B u' with
+    u' = (ab/c) 2F1(a+1, b+1; c+1; eta), in the parameter types of u."""
+    payloads = {key[2:] for key in block.terms}
+    (kind, u), *rest = payloads
+    if kind != "2f1" or rest:
+        raise ParamError(f"the recursion takes powers or one 2F1 payload, not {payloads}")
+    a, b, c = map(Fraction, u)
+    if c <= 0 and c.denominator == 1 and not any(c < x <= 0 and x.denominator == 1
+                                                  for x in (a, b)):
+        raise PoleError(f"the recursion's payload 2F1({u[0]}, {u[1]}; {u[2]}; eta) sits on a pole: "
+                        "2F1 has one at the lower parameter c = 0 and at each negative integer c")
+    exact = PowerSum({tuple(map(Fraction, key[:2])): Fraction(x) for key, x in block.terms.items()})
+    classes = [(*cls[:6], [0]) for cls in exact.classes()]
+    lift, du = a * b / c, tuple(x + 1 for x in u)
+    return BlockSum({(p_frac + (p0 + i), q_frac + q0, "2f1", params):
+                     Fraction(x * scale.numerator, den * scale.denominator)
+                     for p_frac, q_frac, p0, q0, den, nums, bnums
+                     in _exact_steps(classes, charges, ell, k, (a * b, a + b + 1, c))
+                     for params, coeffs, scale in ((u, nums, 1), (du, bnums, lift))
+                     for i, x in enumerate(coeffs)})
 
 
 def recursion_step(block: Block, charges, ell: int) -> Block:
-    """One step of the specialized charge-shift algorithm:
-    (j1, j2, j3, j4) -> (j1, j2, j3+1, j4-1).
-
-    The companion, the specialized correlator at (j1, j2+1, j3, j4-1), is
-    the block itself: the algebraic-KZ identification of the module
-    docstring.
-
-    On an exact PowerSum with exact charges a step is ``_exact_steps`` with
-    k = 1 on ``PowerSum.classes()``, reduced by ``PowerSum.from_classes()``
-    to the canonical form, so an exact recursion carries only the terms of
-    its closed form at any depth.  A numeric sum or a BlockSum takes the
-    generic path through the sum algebra.
-    """
-    if _is_exact_powersum(block, charges):
-        return PowerSum.from_classes(_exact_steps(block.classes(), charges, ell, 1))
-    j1, j2, j3, j4 = charges
-    exact = all_exact(j1, j2, j3, j4) and block.is_exact()
-    if j3 == 0:
-        raise DivisionByZeroCharge("the shifted charge j3 must be non-zero")
-    if exact:
-        j1, j2, j3, j4 = map(as_fraction, (j1, j2, j3, j4))
-        inv_j3 = Fraction(1) / j3
-    else:
-        j1, j2, j3, j4 = map(to_complex, (j1, j2, j3, j4))
-        inv_j3 = 1.0 / j3
-    a_coeff = GhostPrimary(j4, ell).weight + j1 + (ell - 1) * j2
-    b_coeff = (ell - 1) * j3
-
-    d = block.deriv()
-    t = d.mul_power(1) - d  # (eta - 1) G'
-    t = t + block.scale(a_coeff)
-    if b_coeff != 0:
-        t = t + block.scale(b_coeff).mul_power(-1)
-    t = t.mul_power(ell + 1).scale(-inv_j3)
-    return t - block.scale(j2 * inv_j3).mul_power(ell + 1)
+    """One step of the charge-shift algorithm, (j1, j2, j3, j4) ->
+    (j1, j2, j3+1, j4-1), whose companion is the block itself (the module
+    docstring): ``recursion_iterate`` at k = 1."""
+    return recursion_iterate(block, charges, ell, 1)
 
 
 def recursion_iterate(block: Block, charges, ell: int, k: int) -> Block:
-    """k-fold composition, charges marching (j3 + t, j4 - t).
-
-    An exact PowerSum with exact charges runs all k steps in
-    ``_exact_steps`` on its classes, split once, and builds the canonical
-    sum once at the end; at k = 0 the block comes back unchanged.  A numeric
-    BlockSum ends with (k+1)^2 merged terms."""
+    """k steps, charges marching (j3 + t, j4 - t), in one exact kernel,
+    ``_exact_steps``, for exact and float (real) input alike.  A PowerSum
+    comes back canonical, a BlockSum of powers as one, and a BlockSum of one
+    2F1 payload u as A u + B u', with exact coefficients; any other payload
+    raises ParamError, a 2F1 on a pole of its lower parameter PoleError.
+    At k = 0 the block comes back unchanged."""
     if k < 0:
         raise ValueError("k must be non-negative")
-    if k and _is_exact_powersum(block, charges):
-        return PowerSum.from_classes(_exact_steps(block.classes(), charges, ell, k))
-    j1, j2, j3, j4 = charges
-    current = block
-    for t in range(k):
-        current = recursion_step(current, (j1, j2, j3 + t, j4 - t), ell)
-    return current
+    if not k:
+        return block
+    powers = block.try_powersum() if isinstance(block, BlockSum) else block
+    if powers is None:
+        return _two_f1_steps(block, charges, ell, k)
+    exact = PowerSum({tuple(map(Fraction, key)): Fraction(x) for key, x in powers.terms.items()})
+    out = PowerSum.from_classes(_exact_steps(exact.classes(), charges, ell, k))
+    return out if powers is block else out.to_blocksum()

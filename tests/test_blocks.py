@@ -10,7 +10,7 @@ from ghostcft import kzbpz as kz
 from ghostcft.blocks import (BlockSum, PowerSum, _payload_value, as_blocksum, exact_series,
                              values_at)
 from ghostcft.errors import GhostCftError, PoleError
-from ghostcft.scalars import cpow, to_complex
+from ghostcft.scalars import cpow, is_exact, to_complex
 
 half = Fraction(1, 2)
 
@@ -271,13 +271,17 @@ def _outcome(fn, *args):
 
 
 def _recursed_blocks(rng):
-    """Numeric recursion outputs at flows 2 and 3 and depths 0 to 4."""
+    """Recursion outputs from float charges at depths 0 to 4: both flow-2
+    blocks and the flow-3 power block (the recursion takes powers and 2F1
+    payloads, not the incomplete-beta block)."""
     for ell in (2, 3):
         j1, j2 = rng.uniform(0.1, 0.6), rng.uniform(0.1, 0.6)
         charges = (j1, j2, half, ell - j1 - j2 - 0.5)
-        for block in co.fourpoint_blocksums(ell, j1, j2, charges[3]):
+        blocks = (co.fourpoint_blocksums(2, j1, j2, charges[3]) if ell == 2
+                  else [co.block_l3_powersum(j1, j2, charges[3]).to_blocksum()])
+        for block in blocks:
             for k in range(5):
-                yield kz.recursion_iterate(as_blocksum(block), charges, ell, k)
+                yield kz.recursion_iterate(block, charges, ell, k)
 
 
 def test_blocksum_value_matches_the_termwise_reference(rng):
@@ -306,11 +310,20 @@ def test_blocksum_value_matches_the_termwise_reference(rng):
     pow_float = PowerSum({(rng.uniform(-1, 2), rng.uniform(-1, 1)): rng.uniform(-2, 2)
                           for _ in range(6)}).to_blocksum()
     sums = [shared, shared.deriv(), mixed, pow_only, pow_float, *_recursed_blocks(rng)]
+    per_class = 0
     for bs in sums:
+        exact = all(is_exact(c) and is_exact(p) and is_exact(q)
+                    for (p, q, _kind, _params), c in bs.terms.items())
         for eta in (0.3, 0.71, 0.4 + 0.2j, complex(1.6, -0.0), Fraction(1, 3), Fraction(9, 10)):
             if type(eta) is Fraction and bs is not mixed and not bs.is_exact():
                 continue
+            if exact and type(eta) is float:
+                # summed once per (payload, class), each class rounded once
+                assert_close(bs.value(eta), _value_reference(bs, eta), 1e-13)
+                per_class += 1
+                continue
             assert _outcome(bs.value, eta) == _outcome(_value_reference, bs, eta), (bs.terms, eta)
+    assert per_class > 20
     # one loop over several sums shares their payloads and keeps every bit
     for eta in (0.3, 0.4 + 0.2j):
         jet = [shared, shared.deriv(), shared.deriv().deriv()]

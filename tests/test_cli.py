@@ -126,6 +126,31 @@ def test_recurse_numeric_flow_one(capsys):
         assert abs(complex(v["re"], v["im"]) - want) <= 1e-12 * want
 
 
+_FLOW2_K20 = ["--ell", "2", "--charges", "0.3,0.4,0.5,0.8", "--k", "20",
+              "--eta-grid", "0.2,0.8,3"]
+_FLOW3_K40 = ["--ell", "3", "--charges", "0.3,0.4,0.5,1.8", "--k", "40",
+              "--eta-grid", "0.2,0.6,3"]
+
+
+@pytest.mark.parametrize("argv, eta, want", [
+    # 60-digit mpmath values of the general-charge 3F2 blocks at j3 = 41/2
+    (_FLOW2_K20, 0.8, -6.0903570235101998e-06),
+    ([*_FLOW2_K20, "--block", "2"], 0.8, -5.3947473027712521e-06),
+    # the exact recursion of the charges' binary values, summed at 60 digits
+    (_FLOW3_K40, 0.4, 2.0788241486316900e-56),
+    (_FLOW3_K40, 0.6, 1.3518243341426180e-41),
+])
+def test_recurse_float_charges_at_depth(capsys, argv, eta, want):
+    # float charges run through the exact kernel on their binary values;
+    # summed termwise in double, the same blocks lose every digit here
+    code, out = run(capsys, "recurse", *argv)
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["exact"] is False and "block" not in payload
+    (got,) = [complex(v["re"], v["im"]) for v in payload["values"] if v["eta"] == eta]
+    assert abs(got - want) <= 1e-12 * abs(want)
+
+
 def test_identity_check_passes(capsys):
     code, out = run(capsys, "identity-check", "--k", "4", "--draws", "8")
     assert code == 0

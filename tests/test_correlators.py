@@ -555,4 +555,5 @@ def test_each_payload_is_evaluated_once_per_eta(monkeypatch):
     assert len(summed) == 10
     j1, j2, _j3, j4 = _FLOW2
     recursed = kz.recursion_iterate(co.fourpoint_blocksums(2, j1, j2, j4)[0], _FLOW2, 2, 3)
-    assert calls(lambda: recursed.value(0.3)) == 4
+    # the recursed block is A u + B u': two payloads at any depth
+    assert calls(lambda: recursed.value(0.3)) == 2

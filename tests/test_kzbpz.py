@@ -4,14 +4,18 @@ from fractions import Fraction
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import assert_close, rel_err
 from ghostcft import correlators as co
 from ghostcft import kzbpz as kz
 from ghostcft.blocks import BlockSum, PowerSum, exact_series
-from ghostcft.errors import ChargeError, DivisionByZeroCharge, MissingCompanion
+from ghostcft.errors import (ChargeError, DivisionByZeroCharge, GhostCftError, MissingCompanion,
+                             ParamError, PoleError)
 
 half = Fraction(1, 2)
+_REALS = st.floats(-3, 3, allow_nan=False)
 
 
 # ----------------------------------------------------------------------
@@ -416,30 +420,54 @@ def test_recursion_flow_one_numeric_colliding_exponents():
         assert abs(complex(out.eval(eta)) - want) <= 1e-12 * want
 
 
+def _mpf(x):
+    """A real exact or float value as an mpmath number, without rounding."""
+    import mpmath as mp
+
+    x = Fraction(x)
+    return mp.mpf(x.numerator) / x.denominator
+
+
 def test_recursion_deep_numeric(rng):
-    # k = 20 steps keep (k+1)^2 merged terms.  At eta <= 0.2 the sums and
-    # the closed forms agree to 1e-9; at larger eta both lose digits to
-    # cancellation as k grows.
-    k = 20
-    for _ in range(3):
-        j4 = 0.5  # flow-2 blocks degenerate at half-odd-integer j4
-        while abs(2 * j4 - round(2 * j4)) < 0.05:
-            j1, j2 = rng.uniform(0.1, 0.6), rng.uniform(0.1, 0.9)
-            j4 = 1.5 - j1 - j2
-        etas = [rng.uniform(0.05, 0.2) for _ in range(2)]
-        for which, blk in enumerate(co.blocks_l2_blocksums(j1, j2, j4)):
-            out = kz.recursion_iterate(blk, (j1, j2, 0.5, j4), 2, k)
-            assert len(out.terms) == (k + 1) ** 2
+    # float charges at k = 40 against 60-digit references: flow 2 against
+    # mpmath's 3F2 in the general-charge blocks, flow 3 against the exact
+    # recursion of the charges' binary values.  A termwise double sum of a
+    # (k+1)^2-term expansion of these blocks loses every digit here.
+    import mpmath as mp
+
+    k = 40
+    with mp.workdps(60):
+        for _ in range(3):
+            j4 = 0.5  # flow-2 blocks degenerate at half-odd-integer j4
+            while abs(2 * j4 - round(2 * j4)) < 0.05:
+                j1, j2 = rng.uniform(0.1, 0.6), rng.uniform(0.1, 0.9)
+                j4 = 1.5 - j1 - j2
+            etas = [rng.uniform(0.05, 0.8) for _ in range(2)]
+            m1, m2, m3, m4 = map(_mpf, (j1, j2, 0.5 + k, j4 - k))
+            for which, blk in enumerate(co.blocks_l2_blocksums(j1, j2, j4)):
+                out = kz.recursion_iterate(blk, (j1, j2, 0.5, j4), 2, k)
+                assert len({key[3] for key in out.terms}) == 2  # u and u'
+                for eta in etas:
+                    e = _mpf(eta)
+                    w = -e / (1 - e)
+                    if which == 0:
+                        want = (e ** (2 * m3) * (1 - e) ** (m1 - 1)
+                                * mp.hyp3f2(m3 + m4 - 0.5, 1 - m1, m3, m3 + m4, 0.5, w))
+                    else:
+                        want = (mp.beta(0.5, 1 - m4) / mp.beta(m3, 1.5 - m3 - m4)
+                                * e ** (m3 - m4 + 1) * (1 - e) ** -m2
+                                * mp.hyp3f2(0.5, m2, 1 - m4, m1 + m2, m1 + m2 - 0.5, w))
+                    assert abs(out.value(eta) - complex(want)) <= 1e-12 * abs(want)
+            j4 = 2.5 - j1 - j2
+            blk = BlockSum.power(1.0, -j4 + 2, -j2 + 0.5)
+            out = kz.recursion_iterate(blk, (j1, j2, 0.5, j4), 3, k)
+            exact = kz.recursion_iterate(co.block_l3_powersum(*map(Fraction, (j1, j2, j4))),
+                                         tuple(map(Fraction, (j1, j2, 0.5, j4))), 3, k)
             for eta in etas:
-                want = co.conj_blocks_l2(j1, j2, 0.5 + k, j4 - k, eta)[which]
-                assert abs(out.value(eta) - want) <= 1e-9 * abs(want)
-        j4 = 2.5 - j1 - j2
-        blk = BlockSum.power(1.0, -j4 + 2, -j2 + 0.5)
-        out = kz.recursion_iterate(blk, (j1, j2, 0.5, j4), 3, k)
-        assert len(out.terms) == (k + 1) ** 2
-        for eta in etas:
-            want = co.conj_block_l3(j1, j2, 0.5 + k, j4 - k, eta)
-            assert abs(out.value(eta) - want) <= 1e-9 * abs(want)
+                e = _mpf(eta)
+                want = mp.fsum(_mpf(c) * e ** _mpf(p) * (1 - e) ** _mpf(q)
+                               for (p, q), c in exact.terms.items())
+                assert abs(out.value(eta) - complex(want)) <= 1e-12 * abs(want)
 
 
 def test_recursion_linearity_and_modes_agree():
@@ -459,6 +487,41 @@ def test_recursion_guards():
     blk = PowerSum.single(Fraction(1), half)
     with pytest.raises(DivisionByZeroCharge):
         kz.recursion_step(blk, (half, half, 0, half), 1)
+    charges = (half, half, half, half)
+    # a 2F1 payload on a pole of its lower parameter; a terminating one is not
+    with pytest.raises(PoleError, match="lower parameter c = 0"):
+        kz.recursion_step(BlockSum.hyp2f1(1, 1, 0, Fraction(-6), half, Fraction(0)), charges, 2)
+    with pytest.raises(PoleError, match=r"2F1\(-6, 1/2; -4; eta\)"):
+        kz.recursion_step(BlockSum.hyp2f1(1, 1, 0, Fraction(-6), half, Fraction(-4)), charges, 2)
+    assert kz.recursion_step(BlockSum.hyp2f1(1, 1, 0, Fraction(-3), half, Fraction(-4)),
+                             charges, 2).is_exact()
+    # payloads the kernel does not carry
+    for blk in (BlockSum.incomplete_beta(1, 0.5, 0, 0.3, 0.4),
+                BlockSum.hyp3f2w(1, 0, 0, (0.3, 0.4, 0.5), (1.2, 1.3)),
+                BlockSum.hyp2f1(1, 1, 0, 0.3, 0.4, 1.2) + BlockSum.hyp2f1(1, 1, 0, 0.3, 0.4, 1.7),
+                BlockSum.hyp2f1(1, 1, 0, 0.3, 0.4, 1.2) + BlockSum.power(1, 0.5)):
+        with pytest.raises(ParamError, match="one 2F1 payload"):
+            kz.recursion_step(blk, charges, 2)
+
+
+@given(st.tuples(*[_REALS] * 4), st.tuples(*[_REALS] * 3), st.tuples(*[_REALS] * 3),
+       st.booleans(), st.integers(1, 3), st.integers(0, 6))
+@settings(max_examples=80, deadline=None)
+def test_float_input_recurses_as_its_binary_value(charges, power, params, two_f1, ell, k):
+    # one kernel for every input: floats give the terms their Fractions give
+    def outcome(num):
+        coeff, p, q = map(num, power)
+        block = (BlockSum.hyp2f1(coeff, p, q, *map(num, params)) if two_f1
+                 else PowerSum.single(coeff, p, q))
+        try:
+            out = kz.recursion_iterate(block, tuple(map(num, charges)), ell, k)
+        except GhostCftError as exc:
+            return type(exc).__name__
+        # payload parameters are read as doubles: a float c + 1 rounds as c + 1 does
+        return {(*key[:3], tuple(map(float, key[3]))) if two_f1 else key: c
+                for key, c in out.terms.items()}
+
+    assert outcome(float) == outcome(Fraction)
 
 
 def _step_reference(block, charges, ell):
@@ -573,9 +636,9 @@ def test_recursion_step_matches_the_generic_step(rng):
 
 def _assert_reduced_classes(classes):
     """The class format of PowerSum.classes(): den > 0, nonzero end
-    coefficients and gcd(den, *nums) = 1."""
-    for _pf, _qf, _p0, _q0, den, nums in classes:
-        assert den > 0 and nums[0] != 0 and nums[-1] != 0
+    coefficients, gcd(den, *nums) = 1, and no second list (no payload)."""
+    for _pf, _qf, _p0, _q0, den, nums, bnums in classes:
+        assert den > 0 and nums[0] != 0 and nums[-1] != 0 and bnums is None
         assert math.gcd(den, *nums) == 1
 
 
