@@ -310,10 +310,15 @@ _OPS = {op.name: op for op in (
 
 
 def cmd_eval(args) -> int:
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", co.ConjecturalChargeWarning)
-        out = _run(args, f"eval --op {args.op}")
-    _emit(json.dumps({"op": args.op, **out}, indent=2), args.output)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", co.ConjecturalChargeWarning)
+        report = {"op": args.op, **_run(args, f"eval --op {args.op}")}
+    for w in caught:
+        if issubclass(w.category, co.ConjecturalChargeWarning):
+            report["conjectural"] = True
+        else:  # shown as it would have been outside the block
+            warnings.showwarning(w.message, w.category, w.filename, w.lineno)
+    _emit(json.dumps(report, indent=2), args.output)
     return 0
 
 
@@ -391,29 +396,36 @@ def cmd_modealg_verify(args) -> int:
     rep = modealg.chi_null_check()
     states = modealg.basis_states(Fraction(1, 3), 0, max_level=level, max_factors=2)
     window = range(-args.index_range, args.index_range + 1)
+    # the two singlet checks, the costliest, see half the states (at least 2)
+    full, half = states[: args.states], states[: max(2, args.states // 2)]
+    brackets = {
+        "jj_commutators": (full, modealg.check_jj_commutators),
+        "lj_commutators": (full, modealg.check_lj_commutators),
+        "virasoro_c2": (full, lambda sts, w: modealg.check_virasoro(
+            sts, Fraction(2), modealg.act_virasoro, w)),
+        "singlet_c_minus2": (half, lambda sts, w: modealg.check_virasoro(
+            sts, Fraction(-2), modealg.act_singlet, w)),
+        "singlet_commutes_with_current": (half, modealg.check_singlet_commutes_with_current),
+    }
     results = {
         "null_vector": {
             "singlet_form_matches": rep.singlet_form_matches,
             "vanishes_on_charge_half": rep.vanishes_on_charge_half,
             "nonzero_on_generic_charge": rep.nonzero_on_generic_charge,
         },
-        "jj_commutators": modealg.check_jj_commutators(states[: args.states], window),
-        "lj_commutators": modealg.check_lj_commutators(states[: args.states], window),
-        "virasoro_c2": modealg.check_virasoro(
-            states[: args.states], Fraction(2), modealg.act_virasoro, window
-        ),
-        "singlet_c_minus2": modealg.check_virasoro(
-            states[: max(2, args.states // 2)], Fraction(-2), modealg.act_singlet, window
-        ),
-        "singlet_commutes_with_current": modealg.check_singlet_commutes_with_current(
-            states[: max(2, args.states // 2)], window
-        ),
+        **{name: check(sts, window) for name, (sts, check) in brackets.items()},
         "flow_vacuum_conditions": modealg.check_flow_vacuum_conditions(),
     }
     ok = rep.ok and all(
         v is True for k, v in results.items() if isinstance(v, bool)
     )
-    payload = {"level": level, "pass": ok, "results": results}
+    # full and half are prefixes of states; the level of a basis monomial
+    # is the sum of its |index|
+    levels = (sum(abs(n) for _fam, n in mono) for s in max(full, half, key=len)
+              for (mono, _k) in s.terms)
+    payload = {"level": level, "pass": ok, "results": results,
+               "states_checked": {name: len(sts) for name, (sts, _check) in brackets.items()},
+               "max_level_checked": max(levels)}
     _emit(json.dumps(payload, indent=2), args.output)
     return 0 if ok else 1
 

@@ -32,9 +32,13 @@ first, up to hi = d + max(d, |ell|), with d the largest |index| of a creator
 in the state: past that bound J_hi vanishes on the state (the proof is at
 expr._current_squared).
 
-Arithmetic runs on integers.  A state keeps its exact ``Fraction`` terms
-and, built once, its integer form: one denominator den > 0 and an int
-numerator per term, with gcd(den, numerators) = 1.  For j = p/q every
+Arithmetic runs on integers.  A state stores its reduced integer form: one
+denominator den > 0 and an int numerator per term, with gcd(den,
+numerators) = 1 and no zero numerator.  That form is canonical, so ==,
+hash, is_zero and max_depth read it directly.  The exact ``Fraction`` terms
+are a view built from it on the first read of ``terms`` (by to_text, the
+ghost-mode actions or a caller) and then kept; a state that is only summed,
+scaled, compared or acted on by J and L never builds it.  For j = p/q every
 coefficient of J_n or L_n on one monomial times phi_{j+k}^ell lies in
 Z/(2q), so that unit action is a list of int numerators over 2q; an action
 sums them against the state's numerators and reduces once.  Sums, scalings
@@ -69,21 +73,34 @@ def _sort_monomial(modes: Iterable[Mode]) -> Monomial:
 class GhostState(LinComb):
     """Exact vector in (a spectral flow of) a relaxed module.
 
-    base charge j (exact rational), flow ell; terms map (creators, k) to the
-    coefficient of creators * phi_{j+k}^ell.
+    base charge j (exact rational), flow ell; the coefficient of
+    creators * phi_{j+k}^ell is nums[key] / den for key = (creators, k).
+    ``terms`` maps each key to that coefficient as a Fraction.
     """
 
-    __slots__ = ("j", "ell", "_ints")
+    __slots__ = ("j", "ell", "_den", "_nums", "_view")
 
     def __init__(self, j, ell: int = 0, terms: Optional[Dict[StateKey, Fraction]] = None):
+        """terms: int or Fraction coefficients; zeros are dropped."""
         self.j = Fraction(j)
         self.ell = int(ell)
-        self._ints = None
-        LinComb.__init__(self, terms)
+        view = {key: c for key, c in (terms or {}).items() if c}
+        den = lcm(*(c.denominator for c in view.values()))
+        self._den = den
+        self._nums = {key: c.numerator * (den // c.denominator) for key, c in view.items()}
+        self._view = view
 
     @classmethod
     def primary(cls, j, ell: int = 0) -> "GhostState":
         return cls(j, ell, {((), 0): Fraction(1)})
+
+    @property
+    def terms(self) -> Dict[StateKey, Fraction]:
+        """nums[key] / den per key, built on first read and then kept."""
+        if self._view is None:
+            den = self._den
+            self._view = {key: Fraction(c, den) for key, c in self._nums.items()}
+        return self._view
 
     def base(self) -> Tuple[Fraction, int]:
         return (self.j, self.ell)
@@ -105,22 +122,27 @@ class GhostState(LinComb):
     def __repr__(self) -> str:
         return f"GhostState[{self.to_text()}]"
 
-    def _integer_form(self) -> Tuple[int, Dict[StateKey, int]]:
-        """(den, nums): the terms are nums[key] / den, with den > 0 and
-        gcd(den, *nums) = 1; built on first use."""
-        if self._ints is None:
-            den = lcm(*(c.denominator for c in self.terms.values()))
-            self._ints = (den, {key: c.numerator * (den // c.denominator)
-                                for key, c in self.terms.items()})
-        return self._ints
+    def __eq__(self, other) -> bool:
+        if type(other) is not GhostState:
+            return NotImplemented
+        return (self.base() == other.base() and self._den == other._den
+                and self._nums == other._nums)
+
+    def __hash__(self):
+        return hash((self.base(), self._den, frozenset(self._nums.items())))
+
+    def is_zero(self) -> bool:
+        return not self._nums
 
     def _from_ints(self, den: int, nums: Dict[StateKey, int]) -> "GhostState":
-        """The state with terms nums[key] / den, reduced once."""
+        """The state with terms nums[key] / den (den > 0), reduced once; it
+        builds no Fraction until its terms are read."""
         g = gcd(den, *nums.values())
-        den //= g
-        ints = {key: c // g for key, c in nums.items() if c}
-        out = self._like({key: Fraction(c, den) for key, c in ints.items()})
-        out._ints = (den, ints)
+        out = GhostState.__new__(GhostState)
+        out.j, out.ell = self.j, self.ell
+        out._den = den // g
+        out._nums = {key: c // g for key, c in nums.items() if c}
+        out._view = None
         return out
 
     def _sum(self, parts) -> "GhostState":
@@ -131,7 +153,7 @@ class GhostState(LinComb):
             assert state.base() == self.base(), "incompatible base"
             if not isinstance(factor, (int, Fraction)):
                 factor = Fraction(factor)
-            den, nums = state._integer_form()
+            den, nums = state._den, state._nums
             forms.append((den * factor.denominator, factor.numerator, nums))
         den = lcm(*(d for d, _f, _nums in forms))
         out: Dict[StateKey, int] = {}
@@ -150,7 +172,7 @@ class GhostState(LinComb):
 
     def max_depth(self) -> int:
         depth = 0
-        for (mono, _k) in self.terms:
+        for (mono, _k) in self._nums:
             for (_fam, n) in mono:
                 depth = max(depth, abs(n))
         return depth
@@ -295,7 +317,7 @@ def _derivation(state: GhostState, n: int, op: str) -> GhostState:
     (over 2q) are summed with the state's numerators (over den), and the
     result is reduced once."""
     j, ell = state.j, state.ell
-    den, nums = state._integer_form()
+    den, nums = state._den, state._nums
     memo = _UNITS.get()
     outer = (op, n, j.numerator, j.denominator, ell)
     units = {} if memo is None else memo.setdefault(outer, {})

@@ -190,6 +190,35 @@ def test_modealg_verify(capsys):
     assert payload["results"]["null_vector"]["vanishes_on_charge_half"] is True
 
 
+def test_modealg_verify_reports_what_it_checked(capsys):
+    brackets = ("jj_commutators", "lj_commutators", "virasoro_c2", "singlet_c_minus2",
+                "singlet_commutes_with_current")
+    # up to level 4 with at most two creators, from b_-1..b_-4 and
+    # g_-1..g_-4: the primary, 8 single modes and 14 pairs
+    code, out = run(capsys, "modealg-verify", "--level", "4", "--states", "10000")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["pass"] is True
+    assert payload["states_checked"] == dict.fromkeys(brackets, 23)
+    assert payload["max_level_checked"] == 4
+    # by default five states are checked, the two singlet checks see
+    # max(2, 5 // 2), and the fifth, b_-1 b_-3, is at level 4 though
+    # --level is 8
+    code, out = run(capsys, "modealg-verify", "--level", "8")
+    payload = json.loads(out)
+    assert list(payload["states_checked"].values()) == [5, 5, 5, 2, 2]
+    assert payload["max_level_checked"] == 4
+
+
+def test_eval_marks_an_off_lattice_charge_conjectural(capsys):
+    argv = ["eval", "--op", "conj-l2", "--ell", "2", "--eta", "0.3"]
+    code, out = run(capsys, *argv, "--charges", "0.3,0.4,0.7,0.6")
+    assert code == 0
+    assert json.loads(out)["conjectural"] is True
+    code, out = run(capsys, *argv, "--charges", "0.3,0.4,1/2,0.8")
+    assert set(json.loads(out)) == {"op", "block1", "block2"}
+
+
 def test_readme_commands(capsys):
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     commands = [

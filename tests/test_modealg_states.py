@@ -1,5 +1,6 @@
 """State-level mode algebra: primary actions, composite modes, the
 charge-1/2 degenerate vector, flows and the localized twist."""
+import inspect
 from fractions import Fraction
 
 import pytest
@@ -424,6 +425,62 @@ def test_unit_memo_lives_for_one_check_call():
     with pytest.raises(ZeroDivisionError):
         checks._brackets_hold(sts, range(-1, 2), act_current, act_current, fails)
     assert states._UNITS.get() is None
+
+
+# ----------------------------------------------------------------------
+# the stored integer form and the Fraction view built from it
+# ----------------------------------------------------------------------
+
+
+def _integer_forms(rng, count):
+    """(j, ell, den, nums) forms: fixed edge cases (empty, all zero, one
+    negative unreduced term), then seeded draws with a common factor, zero
+    and negative numerators and sometimes no term at all."""
+    key = (((BETA, -1), (GAMMA, -2)), 1)
+    yield Fraction(1, 3), 0, 5, {}
+    yield Fraction(1, 3), 0, 4, {key: 0, ((), 0): 0}
+    yield Fraction(-2, 5), 1, 6, {key: -4}
+    for _ in range(count):
+        j, ell = rng.choice(_KERNEL_CHARGES), rng.randint(-2, 2)
+        monos = [next(iter(s.terms))[0] for s in basis_states(j, ell, max_level=3, max_factors=3)]
+        g = rng.randint(1, 6)
+        nums = {(rng.choice(monos), rng.randint(-2, 2)): g * rng.randint(-9, 9)
+                for _ in range(rng.randint(0, 5))}
+        yield j, ell, g * rng.randint(1, 12), nums
+
+
+def test_integer_form_and_fraction_terms_build_the_same_state(rng):
+    for j, ell, den, nums in _integer_forms(rng, 300):
+        lazy = GhostState(j, ell)._from_ints(den, dict(nums))
+        eager = GhostState(j, ell, {key: Fraction(c, den) for key, c in nums.items()})
+        # before the lazy state's terms are first read
+        assert lazy == eager and eager == lazy
+        assert hash(lazy) == hash(eager)
+        assert lazy.is_zero() == eager.is_zero() == (not any(nums.values()))
+        assert lazy.max_depth() == eager.max_depth()
+        assert list(lazy.terms.items()) == list(eager.terms.items())
+        assert lazy.to_text() == eager.to_text()
+
+
+def test_singlet_bracket_check_builds_no_fraction_view(monkeypatch):
+    """The Ls bracket check reads every intermediate state as an integer
+    form: no state but the inputs has its terms read, so none builds them."""
+    sts = basis_states(Fraction(1, 3), 0, max_level=4, max_factors=2)
+    terms = inspect.getattr_static(GhostState, "terms")
+    read = []
+
+    class Counted:
+        def __get__(self, obj, cls=None):
+            if obj is not None:
+                read.append(obj)
+            return terms.__get__(obj, cls)
+
+        def __set__(self, obj, value):  # a settable terms stays settable
+            terms.__set__(obj, value)
+
+    monkeypatch.setattr(GhostState, "terms", Counted())
+    assert check_virasoro(sts, -2, act_singlet, range(-2, 3))
+    assert not [s for s in read if not any(s is t for t in sts)]
 
 
 # ----------------------------------------------------------------------
