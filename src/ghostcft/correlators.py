@@ -501,11 +501,13 @@ def conj_blocks_l2(j1, j2, j3, j4, eta) -> Tuple[complex, complex]:
     pref = specfun.beta_complete(0.5, 1 - j4c) / specfun.beta_complete(
         j3c, 1.5 - j3c - j4c
     )
+    # j1 + j2 - 1/2 (a 3F2 pole at 0) rounded once, not after j1 + j2 as well
+    low = complex(math.fsum((j1c.real, j2c.real, -0.5)), j1c.imag + j2c.imag)
     blk2 = (
         pref
         * cpow(eta, j3c - j4c + 1)
         * cpow(1 - to_complex(eta), -j2c)
-        * specfun.hyp3f2(0.5, j2c, -j4c + 1, j1c + j2c, j1c + j2c - 0.5, w)
+        * specfun.hyp3f2(0.5, j2c, -j4c + 1, j1c + j2c, low, w)
     )
     return blk1, blk2
 

@@ -7,8 +7,9 @@ The core identity:
       = (alpha-a+c)_k (1-eta)^(-b)
         3F2(c-a, b, alpha-a+c+k; c, alpha-a+c; -eta/(1-eta)),
 
-verified by evaluating both sides independently.  The block sums specialize
-alpha to 1-c or c-1.
+verified by evaluating both sides: the left sums k+1 contiguous 2F1s at
+eta, the right applies the exact operator prod_{t<k} (beta+t+theta) to one
+2F1 at -eta/(1-eta) and its derivative.  The block sums set alpha = 1-c or c-1.
 """
 from __future__ import annotations
 

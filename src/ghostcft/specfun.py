@@ -3,8 +3,8 @@
 Gamma (Lanczos rational approximation plus reflection), Pochhammer symbols,
 complete/incomplete beta, Gauss 2F1 with its transformation graph (direct
 series, Pfaff remap, 0->1 connection, terminating and regularized variants,
-Frobenius log pair at c=1) and a 3F2 evaluator with an integer-offset
-collapse that rides on the 2F1 continuations.
+Frobenius log pair at c=1) and a 3F2 evaluator that reduces an
+integer-offset 3F2 exactly onto one 2F1 and its derivative.
 
 All powers are principal-branch (see scalars.cpow).  Branch-cut sides on
 [1, oo) are selected with a signed-zero imaginary part; bare floats > 1 are
@@ -30,6 +30,7 @@ from .scalars import (
     cpow,
     integer_difference,
     is_exact,
+    is_integer,
     is_nonpositive_integer,
     nonpositive_integer_value,
     to_complex,
@@ -204,7 +205,10 @@ def _hyp2f1_impl(a, b, c, z, depth=0):
         raise ConvergenceError("2F1 continuation recursion exceeded")
     if abs(zc) <= 0.7:
         return _series_2f1(a, b, c, z, None)
-    if abs(_one_minus(zc)) <= 0.7:
+    # near (not on) an integer c-a-b the connection cancels to eps/distance: sum the series
+    s = to_complex(c) - to_complex(a) - to_complex(b)
+    near_log = abs(zc) <= 0.9 and abs(s - round(s.real)) < 0.01 and not is_integer(s)
+    if abs(_one_minus(zc)) <= 0.7 and not near_log:
         return _connection_01(a, b, c, zc, depth)
     if zc.real < 0.5 and abs(zc / (zc - 1.0)) <= 0.8:
         return _pfaff(a, b, c, zc, depth)
@@ -300,81 +304,73 @@ def _series_3f2(uppers, lowers, z: Scalar, nterm):
     )
 
 
-def _collapse_pair(uppers, lowers):
-    """Find an (upper, lower) pair with integer offset k >= 0, preferring the
-    smallest k.  Returns (i, j, k) or None."""
-    best = None
-    for i, av in enumerate(uppers):
-        for j, bv in enumerate(lowers):
-            k = integer_difference(av, bv)
-            if k is not None and k >= 0:
-                if best is None or k < best[2]:
-                    best = (i, j, k)
-    return best
-
-
-def _collapse_3f2(uppers, lowers, z: Scalar, i: int, j: int, k: int):
-    """3F2(A, B, beta+k; C, beta; z) via (beta+n)_k / (beta)_k polynomial
-    action: (1/(beta)_k) * prod_t (beta + t + theta) applied to 2F1(A,B;C;z),
-    theta = z d/dz.  Valid wherever the 2F1 continuations reach.
-    """
-    big_a, big_b = [uppers[t] for t in range(3) if t != i]
-    big_c = lowers[1 - j]
-    beta = lowers[j]
-    ac, bc, cc, betac = map(to_complex, (big_a, big_b, big_c, beta))
+def _integer_offset_3f2(big_a, big_b, big_c, beta, k: int, z: Scalar):
+    """3F2(A, B, beta+k; C, beta; z) = prod_{t<k} (beta+t+theta) F / (beta)_k,
+    F = 2F1(A, B; C; z), theta = z d/dz, real parameters (D-finite closure).
+    With A, B, C, beta, z = a/D, b/D, c/D, s/D, n/D (binary values, one int D),
+    (1-z) theta^2 F = ((A+B) z - (C-1)) theta F + AB z F turns each factor
+    D (beta + t + theta) of (p F + q D theta F) / (1-z)^t into that form at
+    t + 1: p'_i = (s + D (t+i)) p_i + (D (1-i) - s) p_(i-1) + ab q_(i-1),
+    q'_i = (s + D (t+i+1) - c) q_i + (D (1-i) - s + a + b) q_(i-1) + p_i - p_(i-1),
+    int lists.  D theta F = (ab/c) z 2F1(A+1, B+1; C+1; z).  p(z) and q(z) are
+    summed exactly (n a Gaussian int) and each 2F1 coefficient is rounded once."""
+    if not k:
+        return hyp2f1(big_a, big_b, big_c, z)
     zc = to_complex(z)
-    # terms: dict (power m, shift s) -> coefficient, value = sum c z^m F(A+s,B+s;C+s;z)
-    terms = {(0, 0): 1 + 0j}
+    parts = [to_complex(v).real for v in (big_a, big_b, big_c, beta)] + [zc.real, zc.imag]
+    big_d = math.lcm(*(x.as_integer_ratio()[1] for x in parts))
+    a, b, c, s, nr, ni = (n * (big_d // d) for n, d in map(float.as_integer_ratio, parts))
+    p, q, scale = [1], [0], 1
     for t in range(k):
-        new: dict = {}
-
-        def add(key, val):
-            new[key] = new.get(key, 0j) + val
-
-        for (m, s), coeff in terms.items():
-            add((m, s), coeff * (betac + t + m))
-            add((m + 1, s + 1), coeff * (ac + s) * (bc + s) / (cc + s))
-        terms = new
-    total = 0j
-    for (m, s), coeff in terms.items():
-        if coeff == 0:
-            continue
-        total += coeff * zc**m * to_complex(hyp2f1(ac + s, bc + s, cc + s, zc))
-    return total / to_complex(pochhammer(beta, k))
+        cols = list(zip(p + [0], [0] + p, q + [0], [0] + q))
+        p = [(s + big_d * (t + i)) * x + (big_d * (1 - i) - s) * y + a * b * v
+             for i, (x, y, u, v) in enumerate(cols)]
+        q = [(s + big_d * (t + i + 1) - c) * u + (big_d * (1 - i) - s + a + b) * v + x - y
+             for i, (x, y, u, v) in enumerate(cols)]
+        scale *= s + big_d * t
+    # (re, im) pairs: p(z) D^k and q(z) D^k by Horner, w = S (D - n)^k, S = D^k (beta)_k
+    (pr, pi), (qr, qi), (wr, wi) = (0, 0), (0, 0), (scale, 0)
+    for i, (x, y) in enumerate(zip(reversed(p), reversed(q))):
+        pr, pi = pr * nr - pi * ni + x * big_d**i, pr * ni + pi * nr
+        qr, qi = qr * nr - qi * ni + y * big_d**i, qr * ni + qi * nr
+        wr, wi = (wr * (big_d - nr) + wi * ni, wi * (big_d - nr) - wr * ni) if i else (wr, wi)
+    qr, qi = (qr * nr - qi * ni) * a * b, (qr * ni + qi * nr) * a * b  # times z ab / (D c)
+    norm = wr * wr + wi * wi
+    qnorm = norm * big_d * c
+    try:
+        cp = complex((pr * wr + pi * wi) / norm, (pi * wr - pr * wi) / norm)
+        cq = complex((qr * wr + qi * wi) / qnorm, (qi * wr - qr * wi) / qnorm)
+    except (OverflowError, ZeroDivisionError):
+        raise ParamError(f"3F2 at z = {z}: a pole at z = 1, or a double overflow") from None
+    return cp * hyp2f1(big_a, big_b, big_c, z) + cq * hyp2f1(big_a + 1, big_b + 1, big_c + 1, z)
 
 
 def hyp3f2(a1: Scalar, a2: Scalar, a3: Scalar, b1: Scalar, b2: Scalar, z: Scalar):
     """Generalized hypergeometric 3F2 at argument z.
 
-    Supported regions: terminating series anywhere; |z| <= 0.9 by direct
-    series; outside that only when an upper parameter exceeds a lower one by
-    a non-negative integer (the collapse onto 2F1 continuations, which covers
-    the -eta/(1-eta) arguments of the block identities).
+    A terminating series is summed as it stands.  Real parameters with an
+    upper one exceeding a lower one by an integer k >= 0 take one route at
+    every z, the exact reduction onto 2F1(A, B; C; z) and its derivative
+    (``_integer_offset_3f2``), which reaches wherever the 2F1 does.  A
+    complex parameter (nonzero imaginary part), or no such pair, takes the
+    direct series at |z| <= 0.9 and raises ConvergenceError beyond it.
     """
     uppers, lowers = (a1, a2, a3), (b1, b2)
     nterm = _terminating_order(uppers, lowers)
-    # exact upper/lower cancellation drops to 2F1
-    for i, av in enumerate(uppers):
-        for j, bv in enumerate(lowers):
-            same = (
-                av == bv
-                if (is_exact(av) and is_exact(bv))
-                else to_complex(av) == to_complex(bv)
-            )
-            if same and not is_nonpositive_integer(bv):
-                rest = [uppers[t] for t in range(3) if t != i]
-                return hyp2f1(rest[0], rest[1], lowers[1 - j], z)
     if nterm is not None:
         return _series_3f2(uppers, lowers, z, nterm)
-    zc = to_complex(z)
-    if abs(zc) <= 0.9:
+    # of the (upper, lower) pairs with an integer offset k >= 0, the largest
+    # k takes the largest upper parameter out of the 2F1
+    pairs = [(k, i, j) for i, av in enumerate(uppers) for j, bv in enumerate(lowers)
+             if (k := integer_difference(av, bv)) is not None and k >= 0]
+    if pairs and all(to_complex(x).imag == 0 for x in (*uppers, *lowers)):
+        k, i, j = max(pairs)
+        big_a, big_b = [uppers[t] for t in range(3) if t != i]
+        return _integer_offset_3f2(big_a, big_b, lowers[1 - j], lowers[j], k, z)
+    if abs(to_complex(z)) <= 0.9:
         return _series_3f2(uppers, lowers, z, None)
-    pair = _collapse_pair(uppers, lowers)
-    if pair is not None and not (zc.imag == 0 and zc.real >= 1):
-        return _collapse_3f2(uppers, lowers, z, *pair)
-    raise ConvergenceError(
-        f"3F2 at z = {z}: |z| > 0.9 and no integer-offset collapse applies"
-    )
+    why = "the reduction needs real parameters" if pairs else "no integer-offset pair"
+    raise ConvergenceError(f"3F2 at z = {z}: |z| > 0.9 and {why}")
 
 
 def beta_complete(a: Scalar, b: Scalar):

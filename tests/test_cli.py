@@ -151,6 +151,22 @@ def test_recurse_float_charges_at_depth(capsys, argv, eta, want):
     assert abs(got - want) <= 1e-12 * abs(want)
 
 
+@pytest.mark.parametrize("charges, want", [
+    # 50-digit mpmath values of both general-charge blocks at eta = 0.45,
+    # on the charges' binary values: 3F2s with an offset-30 and an offset-20
+    # pair at w = -9/11
+    ("0.2,0.7,30.5,-29.4", (-1.340052328820904e-23, -1.9579489518423154e-23)),
+    ("0.3,0.4,20.5,-19.2", (-2.6152032777253573e-16, -3.8154853703171211e-16)),
+])
+def test_eval_conj_l2_at_deep_lattice_charges(capsys, charges, want):
+    code, out = run(capsys, "eval", "--op", "conj-l2", "--ell", "2",
+                    "--charges", charges, "--eta", "0.45")
+    assert code == 0
+    payload = json.loads(out)
+    for key, value in zip(("block1", "block2"), want):
+        assert abs(complex(payload[key]) - value) <= 1e-12 * abs(value)
+
+
 def test_identity_check_passes(capsys):
     code, out = run(capsys, "identity-check", "--k", "4", "--draws", "8")
     assert code == 0

@@ -3,10 +3,13 @@ families, the log regime, monodromy data, bulk combinations, the
 charge-shift polynomial and the general-charge block formulas."""
 import cmath
 import math
+import timeit
 import warnings
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import assert_close, rel_err
 from ghostcft import correlators as co
@@ -15,6 +18,7 @@ from ghostcft.blocks import BlockSum, PowerSum
 from ghostcft.errors import (
     ChargeError,
     DegenerateError,
+    GhostCftError,
     PoleError,
     UnsupportedShape,
     VanishingConstantRequired,
@@ -435,6 +439,50 @@ def test_conj_blocks_l2_small_eta_normalization():
     eta = 1e-5
     b1, _ = co.conj_blocks_l2(j1, j2, j3, j4, eta)
     assert rel_err(b1 / eta ** (2 * j3), 1.0) < 1e-4
+
+
+@given(st.integers(0, 40), st.floats(0.05, 0.9), st.floats(0.1, 0.6), st.floats(0.1, 0.9))
+@settings(max_examples=60, deadline=None)
+# block 2 next to its zero in j2 (near 0.6887)
+@example(11, 0.7042148255322291, 0.25098153128119993, 0.6889977133761969)
+# j2 near 1/2 at eta > 0.7: the 2F1s of both blocks near a log case
+@example(5, 0.8255014180473792, 0.3564197907938317, 0.5009022436753106)
+# j1 + j2 = 1: block 2 has an offset-0 and an offset-39 pair
+@example(39, 0.36586866885786495, 0.1, 0.9)
+# j1 + j2 near 1/2, where block 2's lower parameter j1 + j2 - 1/2 nears 0
+@example(1, 0.5, 0.35142535265472263, 0.14860944882712862)
+def test_conj_blocks_l2_on_the_lattice_match_mpmath(k, eta, j1, j2):
+    # at j3 = 1/2 + k both blocks are a prefactor times a 3F2 with an
+    # integer-offset pair of offset k, at w = -eta/(1-eta) down to -9.  Each
+    # is within 1e-12 of mpmath at 50 digits on the charges' binary values,
+    # relative to max(|3F2|, 1e-2) times the prefactor: where a 3F2 crosses
+    # zero in the charges, double precision holds no relative accuracy.  A
+    # refused input raises a GhostCftError.
+    import mpmath as mp
+
+    j3 = 0.5 + k
+    j4 = 2 - j1 - j2 - j3
+    try:
+        got = co.conj_blocks_l2(j1, j2, j3, j4, eta)
+    except GhostCftError:
+        return
+    with mp.workdps(50):
+        m1, m2, m3, m4, e = map(mp.mpf, (j1, j2, j3, j4, eta))
+        w = -e / (1 - e)
+        parts = ((e ** (2 * m3) * (1 - e) ** (m1 - 1),
+                  mp.hyp3f2(m3 + m4 - 0.5, 1 - m1, m3, m3 + m4, 0.5, w)),
+                 (mp.beta(0.5, 1 - m4) / mp.beta(m3, 1.5 - m3 - m4)
+                  * e ** (m3 - m4 + 1) * (1 - e) ** -m2,
+                  mp.hyp3f2(0.5, m2, 1 - m4, m1 + m2, m1 + m2 - 0.5, w)))
+        for g, (pref, hyp) in zip(got, parts):
+            scale = abs(complex(pref)) * max(abs(complex(hyp)), 1e-2)
+            assert abs(g - complex(pref * hyp)) <= 1e-12 * scale
+
+
+def test_integer_offset_3f2_at_k20_is_fast():
+    # block 1's 3F2 at charges (0.2, 0.7, 41/2, -19.4), eta = 0.45: best of five
+    args = (0.6, 0.8, 20.5, 1.1, 0.5, -0.45 / 0.55)
+    assert min(timeit.repeat(lambda: sf.hyp3f2(*args), number=1, repeat=5)) < 5e-3
 
 
 # ----------------------------------------------------------------------

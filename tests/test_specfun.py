@@ -201,6 +201,20 @@ def test_hyp2f1_degenerate_strict_vs_eps():
         sf.hyp2f1(0.25, 0.75, 2.0, 0.92)
 
 
+@pytest.mark.parametrize("gap", [1e-3, 1e-6])
+@pytest.mark.parametrize("z", [0.75, 0.9, -4.0])
+def test_hyp2f1_near_integer_c_minus_a_minus_b(gap, z):
+    # off the degenerate locus by gap the 0->1 connection cancels to about
+    # eps/gap; within |z| <= 0.9 (-4 through Pfaff, to 0.8) the series serves
+    import mpmath as mp
+
+    a, b = 0.5, 0.6436
+    c = a + b + gap
+    with mp.workdps(30):
+        want = complex(mp.hyp2f1(a, b, c, z))
+    assert rel_err(sf.hyp2f1(a, b, c, z), want) < 1e-14
+
+
 def test_hyp2f1_far_negative_axis():
     # Pfaff maps z<0 into (0,1): compare against Pfaff of the series oracle
     a, b, c = 0.3, 0.7, 1.9
@@ -384,20 +398,20 @@ def test_hyp3f2_series_vs_bruteforce(rng):
 
 
 def test_hyp3f2_collapse_far_argument():
-    # integer-offset pair: third upper = second lower + k; argument < -1.
-    # Oracle: the same function computed with the offset carried by the
-    # series at a reachable argument via the Pfaff-mapped 2F1 terms is not
-    # available directly, so compare collapse vs series at |z|<1 first
+    # integer-offset pair: third upper = second lower + k.  Real z < -1 and a
+    # complex z with |z| > 1 off the cut, against mpmath on the scale of
+    # max(|v|, 1); a parameter passed as a complex with zero imaginary part
+    # counts as real and takes the same route
+    import mpmath as mp
+
     a1, a2, b1, b2 = 0.3, 0.4, 1.2, 0.9
-    for k in (0, 1, 3):
-        got = sf.hyp3f2(a1, a2, b2 + k, b1, b2, 0.6)
-        want = finite_sum_3f2_oracle(a1, a2, b2 + k, b1, b2, 0.6, 2000)
-        assert rel_err(got, want) < 1e-10
-    # far negative arguments evaluate (no exception) and match the
-    # Euler-stabilized region's values continued from small |z| by the
-    # collapse construction itself
-    val = sf.hyp3f2(a1, a2, b2 + 2, b1, b2, -4.0)
-    assert cmath.isfinite(val)
+    for k in range(4):
+        for z in (-1.5, -4.0, complex(-1.2, 1.1)):
+            got = sf.hyp3f2(a1, a2, b2 + k, b1, b2, z)
+            with mp.workdps(30):
+                want = complex(mp.hyp3f2(a1, a2, b2 + k, b1, b2, z))
+            assert rel_err(got, want) <= 1e-12, (k, z)
+            assert sf.hyp3f2(complex(a1), a2, b2 + k, b1, complex(b2), z) == got
 
 
 def test_hyp3f2_param_and_convergence_errors():
@@ -405,6 +419,13 @@ def test_hyp3f2_param_and_convergence_errors():
         sf.hyp3f2(0.3, 0.4, 0.5, -1.0, 1.3, 0.2)
     with pytest.raises(ConvergenceError):
         sf.hyp3f2(0.3, 0.4, 0.5, 1.2, 1.3, -3.0)  # no collapse pair
+    # a complex parameter with an integer-offset pair: the direct series
+    # within |z| <= 0.9, a ConvergenceError naming the reason beyond it
+    a1 = complex(0.3, 0.2)
+    got = sf.hyp3f2(a1, 0.4, 2.9, 1.2, 0.9, -0.8)
+    assert rel_err(got, finite_sum_3f2_oracle(a1, 0.4, 2.9, 1.2, 0.9, -0.8, 2000)) < 1e-12
+    with pytest.raises(ConvergenceError, match="needs real parameters"):
+        sf.hyp3f2(a1, 0.4, 2.9, 1.2, 0.9, -1.5)
 
 
 # ----------------------------------------------------------------------
