@@ -493,13 +493,15 @@ def conj_blocks_l2(j1, j2, j3, j4, eta) -> Tuple[complex, complex]:
     _warn_if_conjectural(j3)
     j1c, j2c, j3c, j4c = map(to_complex, (j1, j2, j3, j4))
     w = -to_complex(eta) / (1 - to_complex(eta))
+    # first: past j3 + j1 + j2 - 1/2 = 171.6 its Gamma overflows a double and
+    # refuses before block 1's 3F2, whose cost grows as k^3 on the lattice
+    pref = specfun.beta_complete(0.5, 1 - j4c) / specfun.beta_complete(
+        j3c, 1.5 - j3c - j4c
+    )
     blk1 = (
         cpow(eta, 2 * j3c)
         * cpow(1 - to_complex(eta), j1c - 1)
         * specfun.hyp3f2(j3c + j4c - 0.5, -j1c + 1, j3c, j3c + j4c, 0.5, w)
-    )
-    pref = specfun.beta_complete(0.5, 1 - j4c) / specfun.beta_complete(
-        j3c, 1.5 - j3c - j4c
     )
     # j1 + j2 - 1/2 (a 3F2 pole at 0) rounded once, not after j1 + j2 as well
     low = complex(math.fsum((j1c.real, j2c.real, -0.5)), j1c.imag + j2c.imag)

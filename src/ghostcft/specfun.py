@@ -30,7 +30,6 @@ from .scalars import (
     cpow,
     integer_difference,
     is_exact,
-    is_integer,
     is_nonpositive_integer,
     nonpositive_integer_value,
     to_complex,
@@ -205,9 +204,9 @@ def _hyp2f1_impl(a, b, c, z, depth=0):
         raise ConvergenceError("2F1 continuation recursion exceeded")
     if abs(zc) <= 0.7:
         return _series_2f1(a, b, c, z, None)
-    # near (not on) an integer c-a-b the connection cancels to eps/distance: sum the series
+    # the connection is logarithmic on an integer c-a-b and cancels near one: sum the series
     s = to_complex(c) - to_complex(a) - to_complex(b)
-    near_log = abs(zc) <= 0.9 and abs(s - round(s.real)) < 0.01 and not is_integer(s)
+    near_log = abs(zc) <= 0.9 and abs(s - round(s.real)) < 0.01
     if abs(_one_minus(zc)) <= 0.7 and not near_log:
         return _connection_01(a, b, c, zc, depth)
     if zc.real < 0.5 and abs(zc / (zc - 1.0)) <= 0.8:
@@ -304,6 +303,17 @@ def _series_3f2(uppers, lowers, z: Scalar, nterm):
     )
 
 
+def _gaussian_horner(coeffs, nr: int, ni: int, big_d: int):
+    """D^deg c(n/D) as an (re, im) pair of ints, for int coefficients c
+    (lowest degree first) at the Gaussian int n = nr + i ni."""
+    re = im = 0
+    d_power = 1
+    for x in reversed(coeffs):
+        re, im = re * nr - im * ni + x * d_power, re * ni + im * nr
+        d_power *= big_d
+    return re, im
+
+
 def _integer_offset_3f2(big_a, big_b, big_c, beta, k: int, z: Scalar):
     """3F2(A, B, beta+k; C, beta; z) = prod_{t<k} (beta+t+theta) F / (beta)_k,
     F = 2F1(A, B; C; z), theta = z d/dz, real parameters (D-finite closure).
@@ -317,29 +327,29 @@ def _integer_offset_3f2(big_a, big_b, big_c, beta, k: int, z: Scalar):
     if not k:
         return hyp2f1(big_a, big_b, big_c, z)
     zc = to_complex(z)
-    parts = [to_complex(v).real for v in (big_a, big_b, big_c, beta)] + [zc.real, zc.imag]
-    big_d = math.lcm(*(x.as_integer_ratio()[1] for x in parts))
-    a, b, c, s, nr, ni = (n * (big_d // d) for n, d in map(float.as_integer_ratio, parts))
+    ratios = [to_complex(v).real.as_integer_ratio() for v in (big_a, big_b, big_c, beta)]
+    ratios += [zc.real.as_integer_ratio(), zc.imag.as_integer_ratio()]
+    big_d = math.lcm(*(d for _, d in ratios))
+    a, b, c, s, nr, ni = (n * (big_d // d) for n, d in ratios)
     p, q, scale = [1], [0], 1
     for t in range(k):
-        cols = list(zip(p + [0], [0] + p, q + [0], [0] + q))
-        p = [(s + big_d * (t + i)) * x + (big_d * (1 - i) - s) * y + a * b * v
-             for i, (x, y, u, v) in enumerate(cols)]
-        q = [(s + big_d * (t + i + 1) - c) * u + (big_d * (1 - i) - s + a + b) * v + x - y
-             for i, (x, y, u, v) in enumerate(cols)]
+        p_hi, q_hi = p + [0], q + [0]  # index i holds the z^i coefficient
+        p_lo, q_lo = [0] + p, [0] + q  # index i holds the z^(i-1) coefficient
+        p = [(s + big_d * (t + i)) * p_hi[i] + (big_d * (1 - i) - s) * p_lo[i]
+             + a * b * q_lo[i] for i in range(t + 2)]
+        q = [(s + big_d * (t + i + 1) - c) * q_hi[i] + (big_d * (1 - i) - s + a + b) * q_lo[i]
+             + p_hi[i] - p_lo[i] for i in range(t + 2)]
         scale *= s + big_d * t
-    # (re, im) pairs: p(z) D^k and q(z) D^k by Horner, w = S (D - n)^k, S = D^k (beta)_k
-    (pr, pi), (qr, qi), (wr, wi) = (0, 0), (0, 0), (scale, 0)
-    for i, (x, y) in enumerate(zip(reversed(p), reversed(q))):
-        pr, pi = pr * nr - pi * ni + x * big_d**i, pr * ni + pi * nr
-        qr, qi = qr * nr - qi * ni + y * big_d**i, qr * ni + qi * nr
-        wr, wi = (wr * (big_d - nr) + wi * ni, wi * (big_d - nr) - wr * ni) if i else (wr, wi)
-    qr, qi = (qr * nr - qi * ni) * a * b, (qr * ni + qi * nr) * a * b  # times z ab / (D c)
+    # p(z) D^k, z q(z) D^(k+1) and w = S D^k (1 - z)^k with S = D^k (beta)_k
+    pr, pi = _gaussian_horner(p, nr, ni, big_d)
+    qr, qi = _gaussian_horner([0] + q, nr, ni, big_d)
+    w_coeffs = [(-1) ** i * math.comb(k, i) * scale for i in range(k + 1)]
+    wr, wi = _gaussian_horner(w_coeffs, nr, ni, big_d)
     norm = wr * wr + wi * wi
-    qnorm = norm * big_d * c
+    qnorm = norm * big_d * c  # z q(z) times ab / (D c)
     try:
         cp = complex((pr * wr + pi * wi) / norm, (pi * wr - pr * wi) / norm)
-        cq = complex((qr * wr + qi * wi) / qnorm, (qi * wr - qr * wi) / qnorm)
+        cq = complex(a * b * (qr * wr + qi * wi) / qnorm, a * b * (qi * wr - qr * wi) / qnorm)
     except (OverflowError, ZeroDivisionError):
         raise ParamError(f"3F2 at z = {z}: a pole at z = 1, or a double overflow") from None
     return cp * hyp2f1(big_a, big_b, big_c, z) + cq * hyp2f1(big_a + 1, big_b + 1, big_c + 1, z)
@@ -361,8 +371,12 @@ def hyp3f2(a1: Scalar, a2: Scalar, a3: Scalar, b1: Scalar, b2: Scalar, z: Scalar
         return _series_3f2(uppers, lowers, z, nterm)
     # of the (upper, lower) pairs with an integer offset k >= 0, the largest
     # k takes the largest upper parameter out of the 2F1
-    pairs = [(k, i, j) for i, av in enumerate(uppers) for j, bv in enumerate(lowers)
-             if (k := integer_difference(av, bv)) is not None and k >= 0]
+    pairs = []
+    for i, av in enumerate(uppers):
+        for j, bv in enumerate(lowers):
+            k = integer_difference(av, bv)
+            if k is not None and k >= 0:
+                pairs.append((k, i, j))
     if pairs and all(to_complex(x).imag == 0 for x in (*uppers, *lowers)):
         k, i, j = max(pairs)
         big_a, big_b = [uppers[t] for t in range(3) if t != i]

@@ -18,7 +18,6 @@ from ghostcft.blocks import BlockSum, PowerSum
 from ghostcft.errors import (
     ChargeError,
     DegenerateError,
-    GhostCftError,
     PoleError,
     UnsupportedShape,
     VanishingConstantRequired,
@@ -451,20 +450,25 @@ def test_conj_blocks_l2_small_eta_normalization():
 @example(39, 0.36586866885786495, 0.1, 0.9)
 # j1 + j2 near 1/2, where block 2's lower parameter j1 + j2 - 1/2 nears 0
 @example(1, 0.5, 0.35142535265472263, 0.14860944882712862)
+# j2 = 1/2 at eta = 0.75: after Pfaff, c - a - b = 0 in both blocks' 2F1s
+@example(7, 0.75, 0.3, 0.5)
+# j1 + j2 = 1/2: the block-2 prefactor's Beta(j3, j1 + j2 - 1/2) is at its pole
+@example(3, 0.3, 0.25, 0.25)
 def test_conj_blocks_l2_on_the_lattice_match_mpmath(k, eta, j1, j2):
     # at j3 = 1/2 + k both blocks are a prefactor times a 3F2 with an
     # integer-offset pair of offset k, at w = -eta/(1-eta) down to -9.  Each
     # is within 1e-12 of mpmath at 50 digits on the charges' binary values,
-    # relative to max(|3F2|, 1e-2) times the prefactor: where a 3F2 crosses
-    # zero in the charges, double precision holds no relative accuracy.  A
-    # refused input raises a GhostCftError.
+    # relative to max(|3F2|, 1e-3) times the prefactor: where a 3F2 crosses
+    # zero in the charges, double precision holds no relative accuracy.  The
+    # one refusal is the prefactor's pole at j1 + j2 = 1/2.
     import mpmath as mp
 
     j3 = 0.5 + k
     j4 = 2 - j1 - j2 - j3
     try:
         got = co.conj_blocks_l2(j1, j2, j3, j4, eta)
-    except GhostCftError:
+    except PoleError:
+        assert abs(j1 + j2 - 0.5) < 1e-11
         return
     with mp.workdps(50):
         m1, m2, m3, m4, e = map(mp.mpf, (j1, j2, j3, j4, eta))
@@ -475,14 +479,15 @@ def test_conj_blocks_l2_on_the_lattice_match_mpmath(k, eta, j1, j2):
                   * e ** (m3 - m4 + 1) * (1 - e) ** -m2,
                   mp.hyp3f2(0.5, m2, 1 - m4, m1 + m2, m1 + m2 - 0.5, w)))
         for g, (pref, hyp) in zip(got, parts):
-            scale = abs(complex(pref)) * max(abs(complex(hyp)), 1e-2)
+            scale = abs(complex(pref)) * max(abs(complex(hyp)), 1e-3)
             assert abs(g - complex(pref * hyp)) <= 1e-12 * scale
 
 
 def test_integer_offset_3f2_at_k20_is_fast():
-    # block 1's 3F2 at charges (0.2, 0.7, 41/2, -19.4), eta = 0.45: best of five
+    # block 1's 3F2 at charges (0.2, 0.7, 41/2, -19.4), eta = 0.45: best of
+    # five calls; about 1 ms on one x86-64 core, with room for a loaded machine
     args = (0.6, 0.8, 20.5, 1.1, 0.5, -0.45 / 0.55)
-    assert min(timeit.repeat(lambda: sf.hyp3f2(*args), number=1, repeat=5)) < 5e-3
+    assert min(timeit.repeat(lambda: sf.hyp3f2(*args), number=1, repeat=5)) < 2e-2
 
 
 # ----------------------------------------------------------------------

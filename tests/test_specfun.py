@@ -196,16 +196,17 @@ def test_hyp2f1_matches_series_oracle_moderate_z(rng):
 
 
 def test_hyp2f1_degenerate_strict_vs_eps():
-    # integer c - a - b at a point the 0->1 connection serves raises
+    # integer c - a - b where only the 0->1 connection serves (|z| > 0.9) raises
     with pytest.raises(DegenerateError):
         sf.hyp2f1(0.25, 0.75, 2.0, 0.92)
 
 
-@pytest.mark.parametrize("gap", [1e-3, 1e-6])
+@pytest.mark.parametrize("gap", [0.0, 1e-3, 1e-6])
 @pytest.mark.parametrize("z", [0.75, 0.9, -4.0])
 def test_hyp2f1_near_integer_c_minus_a_minus_b(gap, z):
     # off the degenerate locus by gap the 0->1 connection cancels to about
-    # eps/gap; within |z| <= 0.9 (-4 through Pfaff, to 0.8) the series serves
+    # eps/gap, and on it (gap 0) it is logarithmic; within |z| <= 0.9 (-4
+    # through Pfaff, to 0.8) the series serves
     import mpmath as mp
 
     a, b = 0.5, 0.6436
@@ -398,20 +399,21 @@ def test_hyp3f2_series_vs_bruteforce(rng):
 
 
 def test_hyp3f2_collapse_far_argument():
-    # integer-offset pair: third upper = second lower + k.  Real z < -1 and a
-    # complex z with |z| > 1 off the cut, against mpmath on the scale of
-    # max(|v|, 1); a parameter passed as a complex with zero imaginary part
-    # counts as real and takes the same route
+    # integer-offset pair: third upper = second lower + k.  Real z inside the
+    # unit disk and below -1, and a complex z with |z| > 1 off the cut, against
+    # mpmath on the scale of max(|v|, 1); a parameter passed as a complex with
+    # zero imaginary part counts as real and takes the same route.  The second
+    # set has an integer b1 - a1 - a2, the 2F1's log case
     import mpmath as mp
 
-    a1, a2, b1, b2 = 0.3, 0.4, 1.2, 0.9
-    for k in range(4):
-        for z in (-1.5, -4.0, complex(-1.2, 1.1)):
-            got = sf.hyp3f2(a1, a2, b2 + k, b1, b2, z)
-            with mp.workdps(30):
-                want = complex(mp.hyp3f2(a1, a2, b2 + k, b1, b2, z))
-            assert rel_err(got, want) <= 1e-12, (k, z)
-            assert sf.hyp3f2(complex(a1), a2, b2 + k, b1, complex(b2), z) == got
+    for a1, a2, b1, b2 in ((0.3, 0.4, 1.2, 0.9), (0.25, 0.75, 2.0, 0.9)):
+        for k in range(4):
+            for z in (0.6, 0.85, -1.5, -4.0, complex(-1.2, 1.1)):
+                got = sf.hyp3f2(a1, a2, b2 + k, b1, b2, z)
+                with mp.workdps(30):
+                    want = complex(mp.hyp3f2(a1, a2, b2 + k, b1, b2, z))
+                assert rel_err(got, want) <= 1e-12, (a1, k, z)
+                assert sf.hyp3f2(complex(a1), a2, b2 + k, b1, complex(b2), z) == got
 
 
 def test_hyp3f2_param_and_convergence_errors():
