@@ -34,7 +34,7 @@ from typing import Optional, Sequence, Tuple
 from . import specfun
 from .errors import ParamError, PoleError
 from .lincomb import LinComb
-from .scalars import Scalar, all_exact, as_fraction, cpow, is_exact, to_complex
+from .scalars import Scalar, _gaussian_horner, all_exact, as_fraction, cpow, is_exact, to_complex
 
 
 def _strip_zero_ends(nums: list) -> Tuple[int, list]:
@@ -91,7 +91,7 @@ class PowerSum(LinComb):
             n, d = eta.as_integer_ratio()
             for p_frac, q_frac, p0, q0, den, nums, _bnums in self.classes():
                 deg = len(nums) - 1
-                poly = sum(c * n**i * d**(deg - i) for i, c in enumerate(nums)) / (den * d**deg)
+                poly = _gaussian_horner(nums, n, 0, d)[0] / (den * d**deg)
                 total = total + poly * cpow(eta, p_frac + p0) * cpow(one_minus, q_frac + q0)
             return total
         for (p, q), c in self.terms.items():

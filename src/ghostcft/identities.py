@@ -13,12 +13,14 @@ eta, the right applies the exact operator prod_{t<k} (beta+t+theta) to one
 """
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from typing import Tuple
 
 from . import specfun
 from .correlators import recursed_l2_terms
+from .errors import ParamError
 from .scalars import Scalar, cpow, relative_gap, to_complex
 
 
@@ -63,7 +65,11 @@ def appb_rhs(case: IdentityCase) -> complex:
 
 
 def identity_gap(case: IdentityCase) -> float:
+    """The gap between the two sides; ParamError when a side overflows a
+    double (the Pochhammer symbols do from k of about 276)."""
     lhs, rhs = appb_lhs(case), appb_rhs(case)
+    if not (cmath.isfinite(lhs) and cmath.isfinite(rhs)):
+        raise ParamError(f"identity at k = {case.k}: a side is not finite in double precision")
     return relative_gap(lhs - rhs, lhs, rhs)
 
 

@@ -119,6 +119,17 @@ def cpow(w: Scalar, p: Scalar) -> Scalar:
         raise ParamError(f"w ** p overflows double precision at w = {w}, p = {p}") from None
 
 
+def _gaussian_horner(coeffs, nr: int, ni: int, big_d: int):
+    """D^deg c(n/D) as an (re, im) pair of ints, for int coefficients c
+    (lowest degree first) at the Gaussian int n = nr + i ni."""
+    re = im = 0
+    d_power = 1
+    for x in reversed(coeffs):
+        re, im = re * nr - im * ni + x * d_power, re * ni + im * nr
+        d_power *= big_d
+    return re, im
+
+
 def relative_gap(residual: Scalar, *magnitudes: Scalar) -> float:
     """|residual| / max(1, |m| for m in magnitudes): the scale every residual
     and identity check reports, absolute near zero and relative beyond 1."""

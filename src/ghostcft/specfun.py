@@ -4,7 +4,12 @@ Gamma (Lanczos rational approximation plus reflection), Pochhammer symbols,
 complete/incomplete beta, Gauss 2F1 with its transformation graph (direct
 series, Pfaff remap, 0->1 connection, terminating and regularized variants,
 Frobenius log pair at c=1) and a 3F2 evaluator that reduces an
-integer-offset 3F2 exactly onto one 2F1 and its derivative.
+integer-offset 3F2 exactly onto one 2F1 and its derivative.  The direct 2F1
+and 3F2 series share one pFq loop.
+
+Left of Re z = 1/2 gamma reflects, gamma(z) = pi / (sin(pi z) gamma(1-z)),
+with sin(pi z) = (-1)^n sin(pi (z-n)) at the nearest integer n: z - n is
+exact, so gamma keeps its digits next to a pole.
 
 All powers are principal-branch (see scalars.cpow).  Branch-cut sides on
 [1, oo) are selected with a signed-zero imaginary part; bare floats > 1 are
@@ -25,6 +30,7 @@ from .errors import (
 )
 from .scalars import (
     Scalar,
+    _gaussian_horner,
     all_exact,
     as_fraction,
     cpow,
@@ -67,8 +73,10 @@ def gamma(z: Scalar) -> complex:
         raise PoleError(f"gamma pole at z = {z}")
     zc = to_complex(z)
     if zc.real < 0.5:
-        # reflection: gamma(z) = pi / (sin(pi z) gamma(1-z))
-        s = cmath.sin(cmath.pi * zc)
+        # reflection; sin(pi z) = (-1)^n sin(pi (z-n)) with z - n exact
+        n = round(zc.real)
+        s = cmath.sin(cmath.pi * (zc - n))
+        s = -s if n % 2 else s
         if s == 0:
             raise PoleError(f"gamma pole at z = {z}")
         return cmath.pi / (s * gamma(1.0 - zc))
@@ -115,26 +123,29 @@ def _terminating_order(uppers, lowers):
     return n
 
 
-def _series_2f1(a: Scalar, b: Scalar, c: Scalar, z: Scalar, nterm):
-    """Direct power series, summed to order nterm when it terminates there
-    (exact when all inputs are exact), else to convergence."""
-    num = as_fraction if nterm is not None and all_exact(a, b, c, z) else to_complex
-    a, b, c, x = map(num, (a, b, c, z))
+def _pfq_series(uppers, lowers, z: Scalar, nterm):
+    """Direct pFq power series sum_n (u1)_n ... (up)_n z^n / ((v1)_n ... (vq)_n n!).
+    Terminating at order nterm, it is summed to its last term, exactly when
+    every input is exact; else until a term falls to SERIES_RTOL of the sum."""
+    num = as_fraction if nterm is not None and all_exact(*uppers, *lowers, z) else to_complex
+    u0, *us = map(num, uppers)
+    v0, *vs = map(num, lowers)
+    x = num(z)
     total, term = num(0), num(1)
-    if nterm is not None:
-        for n in range(nterm + 1):
-            total += term
-            if n < nterm:
-                term *= (a + n) * (b + n) * x / ((c + n) * (n + 1))
-        return total
-    for n in range(SERIES_MAX_TERMS):
+    for n in range(SERIES_MAX_TERMS if nterm is None else nterm):
         total += term
-        term *= (a + n) * (b + n) * x / ((c + n) * (n + 1))
-        if abs(term) <= SERIES_RTOL * max(abs(total), 1e-300):
+        r, d = u0 + n, v0 + n
+        for u in us:
+            r *= u + n
+        for v in vs:
+            d *= v + n
+        term *= r * x / (d * (n + 1))
+        if nterm is None and abs(term) <= SERIES_RTOL * abs(total):
             return total + term
-    raise ConvergenceError(
-        f"2F1 series did not converge within {SERIES_MAX_TERMS} terms at z = {z}"
-    )
+    if nterm is None:
+        raise ConvergenceError(f"{len(uppers)}F{len(lowers)} series did not converge "
+                               f"within {SERIES_MAX_TERMS} terms at z = {z}")
+    return total + term
 
 
 def _gauss_at_1(a, b, c) -> complex:
@@ -189,7 +200,7 @@ def _pfaff(a, b, c, z, depth):
 def _hyp2f1_impl(a, b, c, z, depth=0):
     nterm = _terminating_order((a, b), (c,))
     if nterm is not None:
-        return _series_2f1(a, b, c, z, nterm)
+        return _pfq_series((a, b), (c,), z, nterm)
     zc = to_complex(z)
     if zc == 0:
         return 1 + 0j if not all_exact(a, b, c, z) else Fraction(1)
@@ -203,7 +214,7 @@ def _hyp2f1_impl(a, b, c, z, depth=0):
     if depth > 6:
         raise ConvergenceError("2F1 continuation recursion exceeded")
     if abs(zc) <= 0.7:
-        return _series_2f1(a, b, c, z, None)
+        return _pfq_series((a, b), (c,), z, None)
     # the connection is logarithmic on an integer c-a-b and cancels near one: sum the series
     s = to_complex(c) - to_complex(a) - to_complex(b)
     near_log = abs(zc) <= 0.9 and abs(s - round(s.real)) < 0.01
@@ -212,7 +223,7 @@ def _hyp2f1_impl(a, b, c, z, depth=0):
     if zc.real < 0.5 and abs(zc / (zc - 1.0)) <= 0.8:
         return _pfaff(a, b, c, zc, depth)
     if abs(zc) <= 0.95:
-        return _series_2f1(a, b, c, z, None)
+        return _pfq_series((a, b), (c,), z, None)
     if abs(_one_minus(zc)) <= 0.95:
         return _connection_01(a, b, c, zc, depth)
     if zc.real < 0.5:
@@ -279,41 +290,6 @@ def hyp2f1_log_pair(a: Scalar, b: Scalar, z: Scalar):
     return y1, y2
 
 
-def _series_3f2(uppers, lowers, z: Scalar, nterm):
-    """Direct power series, summed to order nterm when it terminates there
-    (exact when all inputs are exact), else to convergence."""
-    vals = (*uppers, *lowers, z)
-    num = as_fraction if nterm is not None and all_exact(*vals) else to_complex
-    a1, a2, a3, b1, b2, x = map(num, vals)
-    total, term = num(0), num(1)
-    if nterm is not None:
-        for n in range(nterm + 1):
-            total += term
-            if n < nterm:
-                term *= (a1 + n) * (a2 + n) * (a3 + n) * x
-                term /= (b1 + n) * (b2 + n) * (n + 1)
-        return total
-    for n in range(SERIES_MAX_TERMS):
-        total += term
-        term *= (a1 + n) * (a2 + n) * (a3 + n) * x / ((b1 + n) * (b2 + n) * (n + 1))
-        if abs(term) <= SERIES_RTOL * max(abs(total), 1e-300):
-            return total + term
-    raise ConvergenceError(
-        f"3F2 series did not converge within {SERIES_MAX_TERMS} terms at z = {z}"
-    )
-
-
-def _gaussian_horner(coeffs, nr: int, ni: int, big_d: int):
-    """D^deg c(n/D) as an (re, im) pair of ints, for int coefficients c
-    (lowest degree first) at the Gaussian int n = nr + i ni."""
-    re = im = 0
-    d_power = 1
-    for x in reversed(coeffs):
-        re, im = re * nr - im * ni + x * d_power, re * ni + im * nr
-        d_power *= big_d
-    return re, im
-
-
 def _integer_offset_3f2(big_a, big_b, big_c, beta, k: int, z: Scalar):
     """3F2(A, B, beta+k; C, beta; z) = prod_{t<k} (beta+t+theta) F / (beta)_k,
     F = 2F1(A, B; C; z), theta = z d/dz, real parameters (D-finite closure).
@@ -368,7 +344,7 @@ def hyp3f2(a1: Scalar, a2: Scalar, a3: Scalar, b1: Scalar, b2: Scalar, z: Scalar
     uppers, lowers = (a1, a2, a3), (b1, b2)
     nterm = _terminating_order(uppers, lowers)
     if nterm is not None:
-        return _series_3f2(uppers, lowers, z, nterm)
+        return _pfq_series(uppers, lowers, z, nterm)
     # of the (upper, lower) pairs with an integer offset k >= 0, the largest
     # k takes the largest upper parameter out of the 2F1
     pairs = []
@@ -382,7 +358,7 @@ def hyp3f2(a1: Scalar, a2: Scalar, a3: Scalar, b1: Scalar, b2: Scalar, z: Scalar
         big_a, big_b = [uppers[t] for t in range(3) if t != i]
         return _integer_offset_3f2(big_a, big_b, lowers[1 - j], lowers[j], k, z)
     if abs(to_complex(z)) <= 0.9:
-        return _series_3f2(uppers, lowers, z, None)
+        return _pfq_series(uppers, lowers, z, None)
     why = "the reduction needs real parameters" if pairs else "no integer-offset pair"
     raise ConvergenceError(f"3F2 at z = {z}: |z| > 0.9 and {why}")
 

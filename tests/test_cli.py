@@ -175,6 +175,15 @@ def test_identity_check_passes(capsys):
     assert any("blocksum_k" in row for row in payload["rows"])
 
 
+def test_identity_check_refuses_an_overflowing_depth(capsys):
+    # past k of about 276 the Pochhammer symbols overflow a double: the draw is
+    # refused by name rather than reported as "gap": NaN, which is not JSON
+    assert main(["identity-check", "--k", "400", "--draws", "4", "--seed", "3"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: identity at k = ") and err.count("\n") == 1
+
+
 def test_eval_selection(capsys):
     code, out = run(
         capsys, "eval", "--op", "selection", "--ell", "5",

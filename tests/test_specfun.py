@@ -117,6 +117,19 @@ def test_gamma_reflection_oracle(rng):
         assert rel_err(lhs, rhs) < 1e-12
 
 
+def test_gamma_next_to_its_poles_against_mpmath(rng):
+    # z = n + delta, n <= 0, |delta| from 1e-9 to 0.1: sin(pi z) taken as it
+    # stands would lose about log10(|n| / |delta|) digits; the reflection
+    # reduces it to sin(pi delta), so every draw keeps 1e-13
+    import mpmath as mp
+
+    for _ in range(300):
+        z = rng.randint(-30, 0) + rng.choice((-1, 1)) * 10 ** rng.uniform(-9, -1)
+        with mp.workdps(40):
+            want = complex(mp.gamma(z))
+        assert abs(sf.gamma(z) - want) <= 1e-13 * abs(want), z
+
+
 # ----------------------------------------------------------------------
 # pochhammer
 # ----------------------------------------------------------------------
@@ -166,6 +179,17 @@ def test_hyp2f1_terminating_exact():
     assert isinstance(val, Fraction)
     # oracle: 1 + (-2)(1/2)/3 * (1/3) + [(-2)(-1)(1/2)(3/2)/(3*4*2!)] * (1/9)
     assert val == 1 + Fraction(-1, 9) + Fraction(1, 144)
+
+
+def test_terminating_series_stop_at_their_last_term():
+    # the lower parameter -2 is zero at n = 2, the order where the series
+    # ends: a loop that formed one term too many would divide by it
+    assert_close(sf.hyp2f1(-2, 0.3, -2, 0.5), 1.19875, 1e-15)
+    assert sf.hyp2f1(-2, Fraction(3, 10), -2, Fraction(1, 2)) == Fraction(959, 800)
+    assert_close(sf.hyp2f1(-2, 0.3, -2, 0.5 + 0.1j), 1.1968 + 0.0495j, 1e-15)
+    assert_close(sf.hyp3f2(-2, 0.3, 0.4, -2, 1.5, 0.5), 1.04728, 1e-15)
+    exact = sf.hyp3f2(-2, Fraction(3, 10), Fraction(2, 5), -2, Fraction(3, 2), Fraction(1, 2))
+    assert exact == Fraction(13091, 12500)
 
 
 def test_hyp2f1_param_errors():
