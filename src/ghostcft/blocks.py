@@ -22,7 +22,9 @@ whose like terms merge as a sum is built:
   evaluates a sequence of sums at one eta and evaluates each distinct
   payload once, in a payload dict its caller owns: ``BlockSum.value`` passes
   a fresh one, and ``correlators.WardForm`` keeps one per eta for H, H' and
-  H''.  A recursed 2F1 block has two payloads, u and u', at any depth.
+  H''.  Each sum is split by payload and exponent class once, on its first
+  float evaluation, and keeps the split (``BlockSum._payload_classes``); a
+  recursed 2F1 block, two payloads u and u' at any depth, arrives split.
 """
 from __future__ import annotations
 
@@ -51,7 +53,7 @@ def _strip_zero_ends(nums: list) -> Tuple[int, list]:
 class PowerSum(LinComb):
     """Canonical sum of c * eta^p (1-eta)^q terms keyed by (p, q)."""
 
-    __slots__ = ()
+    __slots__ = ("_classes",)
 
     # bound here, not inherited: the benchmark tracer patches these names in
     # the class's own __dict__
@@ -81,19 +83,12 @@ class PowerSum(LinComb):
         return PowerSum(out)
 
     def eval(self, eta: Scalar) -> Scalar:
-        """The sum at eta.  An exact sum at a real float eta is summed per
-        exponent class: the polynomial is evaluated exactly at Fraction(eta)
-        and rounded once, then multiplied by eta^P (1-eta)^Q, so its
-        alternating terms do not cancel in double precision."""
+        """The sum at eta; an exact sum at a real float eta is summed per
+        exponent class, by ``_classes_at``."""
+        if type(eta) is float and self.is_exact():
+            return _classes_at(self.classes(), eta)
         one_minus = 1 - eta
         total: Scalar = 0
-        if type(eta) is float and self.is_exact():
-            n, d = eta.as_integer_ratio()
-            for p_frac, q_frac, p0, q0, den, nums, _bnums in self.classes():
-                deg = len(nums) - 1
-                poly = _gaussian_horner(nums, n, 0, d)[0] / (den * d**deg)
-                total = total + poly * cpow(eta, p_frac + p0) * cpow(one_minus, q_frac + q0)
-            return total
         for (p, q), c in self.terms.items():
             total = total + c * cpow(eta, p) * cpow(one_minus, q)
         return total
@@ -129,7 +124,9 @@ class PowerSum(LinComb):
         Q = q_frac + q0 and a_k = nums[k] / den: ``den`` is a positive int,
         ``nums`` a list of ints, and gcd(den, *nums) = 1 (None: no payload
         derivative, see ``kzbpz._exact_steps``).  A class whose terms cancel
-        is left out."""
+        is left out.  The split is kept; callers must not change it."""
+        if hasattr(self, "_classes"):
+            return self._classes
         # split each exponent once: the class is keyed by the fractional
         # parts, and the loops below work on int offsets alone
         groups: dict = {}
@@ -157,6 +154,7 @@ class PowerSum(LinComb):
                 nums = [flat.get(p, 0) for p in range(p0, max(flat) + 1)]
                 g = gcd(den, *nums)
                 out.append((p_frac, q_frac, p0, q_min, den // g, [c // g for c in nums], None))
+        self._classes = out
         return out
 
     @classmethod
@@ -205,6 +203,20 @@ class PowerSum(LinComb):
         return BlockSum({(p, q, "pow", ()): c for (p, q), c in self.terms.items()})
 
 
+def _classes_at(classes, eta: float) -> Scalar:
+    """Exact classes, as by ``PowerSum.classes()``, summed at a real float
+    eta: each polynomial is evaluated at Fraction(eta) and rounded once, then
+    multiplied by eta^P (1-eta)^Q, so its terms do not cancel in double."""
+    n, d = eta.as_integer_ratio()
+    one_minus = 1 - eta
+    total: Scalar = 0
+    for p_frac, q_frac, p0, q0, den, nums, _bnums in classes:
+        deg = len(nums) - 1
+        poly = _gaussian_horner(nums, n, 0, d)[0] / (den * d**deg)
+        total = total + poly * cpow(eta, p_frac + p0) * cpow(one_minus, q_frac + q0)
+    return total
+
+
 def _payload_value(kind: str, params: Tuple[Scalar, ...], eta: Scalar) -> Scalar:
     """The payload of a BlockSum term at eta.
 
@@ -235,19 +247,15 @@ def values_at(sums: Sequence["BlockSum"], eta: Scalar, payloads: dict) -> list:
     because an exact parameter can take another route through ``specfun``
     than an equal float.  Each term is c * eta^p, times (1-eta)^q when
     q != 0, times its payload, added in the order of the sum; at a real
-    float eta, a sum of several terms with exact c, p and q is first summed
-    per payload by ``PowerSum.eval``, which rounds once per class."""
+    float eta, a sum split by ``BlockSum._payload_classes`` is summed per
+    payload by ``_classes_at``, which rounds once per class."""
     one_minus = 1 - to_complex(eta)
     out = []
     for bs in sums:
-        terms = bs.terms.items()
-        if type(eta) is float and len(terms) > 1 and all(
-                all_exact(c, p, q) for (p, q, _kind, _params), c in terms):
-            parts: dict = {}
-            for (p, q, kind, params), c in terms:
-                parts.setdefault((kind, params, tuple(map(type, params))), {})[(p, q)] = c
-            terms = [((0, 0, kind, params), PowerSum(part).eval(eta))
-                     for (kind, params, _types), part in parts.items()]
+        split = bs._payload_classes() if type(eta) is float else None
+        terms = bs.terms.items() if split is None else [
+            ((0, 0, kind, params), _classes_at(classes, eta))
+            for (kind, params, _types), classes in split]
         total = 0j
         for (p, q, kind, params), c in terms:
             # a factor (1-eta)^0 or a payload 1 is skipped, not multiplied in
@@ -269,7 +277,7 @@ class BlockSum(LinComb):
     """Sum of c * eta^p (1-eta)^q * payload(eta) keyed by (p, q, kind,
     params); closed under d/deta and prefactor shifts."""
 
-    __slots__ = ()
+    __slots__ = ("_plan",)
 
     # bound here, not inherited: the benchmark tracer patches these names in
     # the class's own __dict__
@@ -333,9 +341,23 @@ class BlockSum(LinComb):
 
     def value(self, eta: Scalar) -> complex:
         """The sum at eta, as a complex.  A payload that several terms
-        share, at different (p, q), is evaluated once; nothing is kept
+        share, at different (p, q), is evaluated once; payloads are not kept
         between calls."""
         return values_at((self,), eta, {})[0]
+
+    def _payload_classes(self) -> Optional[list]:
+        """[(``values_at``'s payload key, ``PowerSum.classes()`` of its terms)]
+        in the order the terms first name the payloads, for a sum of several
+        terms with exact c, p and q, else None; made once, or by the recursion."""
+        if not hasattr(self, "_plan"):
+            terms, self._plan = self.terms, None
+            if len(terms) > 1 and all(all_exact(c, p, q)
+                                      for (p, q, _kind, _params), c in terms.items()):
+                parts: dict = {}
+                for (p, q, kind, params), c in terms.items():
+                    parts.setdefault((kind, params, tuple(map(type, params))), {})[(p, q)] = c
+                self._plan = [(key, PowerSum(part).classes()) for key, part in parts.items()]
+        return self._plan
 
     def exact_value_terminating(self, eta: Scalar):
         """Exact evaluation when every payload terminates and inputs are exact."""

@@ -34,12 +34,13 @@ from .blocks import BlockSum, PowerSum, _strip_zero_ends, as_blocksum
 from .correlators import (
     GhostPrimary,
     WardForm,
+    charge_conserved,
     standard_frame_data,
     unspecialize_block,
     ward_exponents,
 )
 from .errors import ChargeError, DivisionByZeroCharge, MissingCompanion, ParamError, PoleError
-from .scalars import Scalar, as_fraction, cpow, relative_gap, to_complex
+from .scalars import Scalar, all_exact, as_fraction, cpow, relative_gap, to_complex
 
 # Deterministic cross-ratio samples used by every residual sweep.
 DEFAULT_ETA_POINTS: Tuple[complex, ...] = (
@@ -556,7 +557,8 @@ def _exact_steps(classes, charges, ell: int, k: int, ode=None) -> list:
 
 def _two_f1_steps(block: BlockSum, charges, ell: int, k: int) -> BlockSum:
     """``_exact_steps`` on A u, u = 2F1(a, b; c; eta), to A u + B u' with
-    u' = (ab/c) 2F1(a+1, b+1; c+1; eta), in the parameter types of u."""
+    u' = (ab/c) 2F1(a+1, b+1; c+1; eta), in the parameter types of u, split
+    by payload as ``BlockSum._payload_classes`` would split it."""
     payloads = {key[2:] for key in block.terms}
     (kind, u), *rest = payloads
     if kind != "2f1" or rest:
@@ -569,12 +571,21 @@ def _two_f1_steps(block: BlockSum, charges, ell: int, k: int) -> BlockSum:
     exact = PowerSum({tuple(map(Fraction, key[:2])): Fraction(x) for key, x in block.terms.items()})
     classes = [(*cls[:6], [0]) for cls in exact.classes()]
     lift, du = a * b / c, tuple(x + 1 for x in u)
-    return BlockSum({(p_frac + (p0 + i), q_frac + q0, "2f1", params):
-                     Fraction(x * scale.numerator, den * scale.denominator)
-                     for p_frac, q_frac, p0, q0, den, nums, bnums
-                     in _exact_steps(classes, charges, ell, k, (a * b, a + b + 1, c))
-                     for params, coeffs, scale in ((u, nums, 1), (du, bnums, lift))
-                     for i, x in enumerate(coeffs)})
+    terms, split = {}, {}
+    for p_frac, q_frac, p0, q0, den, nums, bnums in _exact_steps(
+            classes, charges, ell, k, (a * b, a + b + 1, c)):
+        for params, coeffs, (sn, sd) in ((u, nums, (1, 1)), (du, bnums, lift.as_integer_ratio())):
+            lo, coeffs = _strip_zero_ends([x * sn for x in coeffs])
+            if coeffs:  # the payload's part of the class, reduced as classes() reduces it
+                g = math.gcd(den * sd, *coeffs)
+                lead, part_den, coeffs = p0 + lo, den * sd // g, [x // g for x in coeffs]
+                split.setdefault(("2f1", params, tuple(map(type, params))), []).append(
+                    (p_frac, q_frac, lead, q0, part_den, coeffs, None))
+                terms.update(((p_frac + (lead + i), q_frac + q0, "2f1", params),
+                              Fraction(x, part_den)) for i, x in enumerate(coeffs) if x)
+    out = BlockSum(terms)
+    out._plan = list(split.items()) if len(terms) > 1 else None
+    return out
 
 
 def recursion_step(block: Block, charges, ell: int) -> Block:
@@ -590,11 +601,15 @@ def recursion_iterate(block: Block, charges, ell: int, k: int) -> Block:
     comes back canonical, a BlockSum of powers as one, and a BlockSum of one
     2F1 payload u as A u + B u', with exact coefficients; any other payload
     raises ParamError, a 2F1 on a pole of its lower parameter PoleError.
-    At k = 0 the block comes back unchanged."""
+    At k = 0 the block comes back unchanged.  Float charges that conserve to
+    1e-12 (``charge_conserved``) run with j4 = l - j1 - j2 - j3, exactly."""
     if k < 0:
         raise ValueError("k must be non-negative")
     if not k:
         return block
+    if not all_exact(*charges) and charge_conserved(sum(charges) - ell):
+        j1, j2, j3 = map(Fraction, charges[:3])
+        charges = (j1, j2, j3, ell - j1 - j2 - j3)
     powers = block.try_powersum() if isinstance(block, BlockSum) else block
     if powers is None:
         return _two_f1_steps(block, charges, ell, k)

@@ -1,8 +1,11 @@
 """PowerSum / BlockSum algebra: closure, derivatives, canonical forms,
 exact series expansion."""
+import copy
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import assert_close
 from ghostcft import correlators as co
@@ -349,3 +352,54 @@ def test_deriv_refuses_a_zero_lower_parameter():
         BlockSum.hyp2f1(1, 0, 0, Fraction(-6), Fraction(17, 2), Fraction(0)).deriv()
     with pytest.raises(PoleError, match="b1 \\* b2 = 0"):
         BlockSum.hyp3f2w(1.0, 0, 0, (0.3, 0.4, 0.5), (1.2, 0.0)).deriv()
+
+
+_TWENTIETHS = st.integers(1, 19).map(lambda n: Fraction(n, 20))
+
+
+@given(_TWENTIETHS, _TWENTIETHS, st.booleans(), st.integers(0, 1), st.integers(1, 12))
+@settings(max_examples=60, deadline=None)
+def test_recursion_hands_over_the_split_the_sum_would_make(j1, j2, exact, which, k):
+    # the split _two_f1_steps makes of its stepped classes is the one the
+    # recursed sum would make of its own terms, in the same order, so either
+    # sums the same bits
+    if not exact:
+        j1, j2 = float(j1), float(j2)
+    charges = (j1, j2, half, 2 - j1 - j2 - half)
+    block = co.fourpoint_blocksums(2, j1, j2, charges[3])[which]
+    try:
+        out = kz.recursion_iterate(block, charges, 2, k)
+    except GhostCftError:
+        return
+    handed = out._plan  # set by the recursion, before any evaluation
+    rebuilt = BlockSum(out.terms)
+    assert handed == rebuilt._payload_classes()
+    for eta in (0.05, 0.3, 0.71, 0.95):
+        assert _outcome(out.value, eta) == _outcome(rebuilt.value, eta)
+
+
+def test_a_kept_split_gives_the_same_bits_at_every_visit(rng):
+    sums = [*_recursed_blocks(rng), *(_random_exact_sum(rng).to_blocksum() for _ in range(20))]
+    for bs in sums:
+        first = bs.value(0.3)
+        bs.value(0.71)
+        assert repr(bs.value(0.3)) == repr(first)
+        ps = bs.try_powersum()
+        if ps is not None and ps.is_exact():
+            first = ps.eval(0.3)
+            ps.eval(0.71)
+            assert repr(ps.eval(0.3)) == repr(first)
+
+
+def test_eval_leaves_the_split_unchanged(rng):
+    for _ in range(50):
+        ps = _random_exact_sum(rng)
+        classes, canonical = copy.deepcopy(ps.classes()), ps.canonical().terms
+        ps.eval(0.3)
+        ps.eval(0.71)
+        assert ps.classes() == classes == PowerSum(ps.terms).classes()
+        assert ps.canonical().terms == canonical
+        bs = ps.to_blocksum()
+        split = copy.deepcopy(bs._payload_classes())
+        bs.value(0.3)
+        assert bs._payload_classes() == split

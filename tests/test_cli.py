@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 from ghostcft import cli
+from ghostcft import correlators as co
 from ghostcft.cli import main
 
 
@@ -136,19 +137,35 @@ _FLOW3_K40 = ["--ell", "3", "--charges", "0.3,0.4,0.5,1.8", "--k", "40",
     # 60-digit mpmath values of the general-charge 3F2 blocks at j3 = 41/2
     (_FLOW2_K20, 0.8, -6.0903570235101998e-06),
     ([*_FLOW2_K20, "--block", "2"], 0.8, -5.3947473027712521e-06),
-    # the exact recursion of the charges' binary values, summed at 60 digits
-    (_FLOW3_K40, 0.4, 2.0788241486316900e-56),
-    (_FLOW3_K40, 0.6, 1.3518243341426180e-41),
+    # the exact recursion at the binary values of j1, j2, j3 and their exact
+    # complement j4 = 3 - j1 - j2 - j3, summed at 60 digits
+    (_FLOW3_K40, 0.4, 2.0788241486630208e-56),
+    (_FLOW3_K40, 0.6, 1.3518489086276881e-41),
 ])
 def test_recurse_float_charges_at_depth(capsys, argv, eta, want):
-    # float charges run through the exact kernel on their binary values;
-    # summed termwise in double, the same blocks lose every digit here
+    # float charges run through the exact kernel on their binary values, j4
+    # completed; summed termwise in double, the same blocks lose every digit
     code, out = run(capsys, "recurse", *argv)
     assert code == 0
     payload = json.loads(out)
     assert payload["exact"] is False and "block" not in payload
     (got,) = [complex(v["re"], v["im"]) for v in payload["values"] if v["eta"] == eta]
     assert abs(got - want) <= 1e-12 * abs(want)
+
+
+def test_recurse_completes_float_j4_exactly(capsys):
+    # 0.3 + 0.4 + 0.5 + 1.8 misses 3 by 5.6e-17 in binary, and 40 steps
+    # amplify the miss to 1.8e-5; j4 runs as the exact complement instead
+    code, out = run(capsys, "recurse", *_FLOW3_K40)
+    assert code == 0
+    j1, j2, j3 = Fraction(0.3), Fraction(0.4), Fraction(1, 2)
+    j4 = 3 - j1 - j2 - j3
+    want = co.conj_block_l3_powersum(j1, j2, j3 + 40, j4 - 40)
+    values = json.loads(out)["values"]
+    assert len(values) == 3
+    for v in values:
+        expected = complex(want.eval(v["eta"]))
+        assert abs(complex(v["re"], v["im"]) - expected) <= 1e-12 * abs(expected)
 
 
 @pytest.mark.parametrize("charges, want", [
