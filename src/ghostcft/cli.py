@@ -2,9 +2,9 @@
 checks, grid scans and mode-algebra verification.
 
 Exit status: 0 when everything holds within tolerance, 1 on any failed
-check, 2 on usage errors and on input the evaluators reject (a
-GhostCftError or ValueError); any other exception propagates with its
-traceback.  Output files are written atomically.  All random
+check, 2 on usage errors, on input the evaluators reject (a
+GhostCftError or ValueError) and on a report that would carry a nan or
+inf; any other exception propagates with its traceback.  Output files are written atomically.  All random
 draws come from a seeded generator (default seed 42).
 """
 from __future__ import annotations
@@ -64,9 +64,19 @@ def _eta_grid(text: str) -> List[float]:
     return [start + k * step for k in range(count)]
 
 
-def _report_json(reports) -> str:
+def _json(payload, command: str) -> str:
+    """payload as indented JSON; a nan or inf in it raises ConvergenceError
+    naming the command, so that no report prints a value that is not
+    finite."""
+    try:
+        return json.dumps(payload, indent=2, allow_nan=False)
+    except ValueError:
+        raise ConvergenceError(f"{command} gave a value that is not finite") from None
+
+
+def _report_json(reports, command: str) -> str:
     payload = [json.loads(rep.to_json()) for rep in reports]
-    return json.dumps(payload if len(payload) > 1 else payload[0], indent=2)
+    return _json(payload if len(payload) > 1 else payload[0], command)
 
 
 # ----------------------------------------------------------------------
@@ -318,20 +328,22 @@ def cmd_eval(args) -> int:
             report["conjectural"] = True
         else:  # shown as it would have been outside the block
             warnings.showwarning(w.message, w.category, w.filename, w.lineno)
-    _emit(json.dumps(report, indent=2), args.output)
+    _emit(_json(report, f"eval --op {args.op}"), args.output)
     return 0
 
 
 def cmd_residual(args) -> int:
     if args.tolerance is None:  # the engine's own default
         args.tolerance = kz.DEFAULT_TOLERANCES[args.op]
-    reports = _run(args, f"residual --op {args.op}")
-    _emit(_report_json(reports), args.output)
+    name = f"residual --op {args.op}"
+    reports = _run(args, name)
+    _emit(_report_json(reports, name), args.output)
     return 0 if all(rep.passes for rep in reports) else 1
 
 
 def cmd_recurse(args) -> int:
-    _emit(json.dumps(_run(args, f"recurse --block {args.block}"), indent=2), args.output)
+    name = f"recurse --block {args.block}"
+    _emit(_json(_run(args, name), name), args.output)
     return 0
 
 
@@ -382,7 +394,7 @@ def cmd_identity_check(args) -> int:
              "pass": verdict.passes}
         )
     payload = {"tolerance": args.tolerance, "pass": ok, "rows": rows}
-    _emit(json.dumps(payload, indent=2), args.output)
+    _emit(_json(payload, "identity-check"), args.output)
     return 0 if ok else 1
 
 
@@ -426,7 +438,7 @@ def cmd_modealg_verify(args) -> int:
     payload = {"level": level, "pass": ok, "results": results,
                "states_checked": {name: len(sts) for name, (sts, _check) in brackets.items()},
                "max_level_checked": max(levels)}
-    _emit(json.dumps(payload, indent=2), args.output)
+    _emit(_json(payload, "modealg-verify"), args.output)
     return 0 if ok else 1
 
 

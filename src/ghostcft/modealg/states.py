@@ -38,21 +38,23 @@ numerators) = 1 and no zero numerator.  That form is canonical, so ==,
 hash, is_zero and max_depth read it directly.  The exact ``Fraction`` terms
 are a view built from it on the first read of ``terms`` (by to_text, the
 ghost-mode actions or a caller) and then kept; a state that is only summed,
-scaled, compared or acted on by J and L never builds it.  For j = p/q every
-coefficient of J_n or L_n on one monomial times phi_{j+k}^ell lies in
-Z/(2q), so that unit action is a list of int numerators over 2q; an action
-sums them against the state's numerators and reduces once.  Sums, scalings
-and the (JJ)_n and Ls_n combinations add integer forms over a common
-denominator.  Within one bracket check (checks._brackets_hold) the unit
-actions are memoised per (J or L, n, j, ell, monomial, k); the memo is
-dropped when the check returns or raises.  Outside a check nothing is
-remembered.
+scaled, compared or acted on by J and L never builds it.
+
+J_n or L_n on one monomial times phi_{j+k}^ell gives each image a
+coefficient A + B (j + k), with integers A and B that depend on neither the
+charge j nor the shift k: contractions and moved creators give A, the
+b_{-ell} ladder and the g_{n+ell} primary term give B, and the J_0 and L_0
+eigenvalues give both.  So one table of these unit actions, keyed by (J or
+L, n, monomial, ell), serves every state of every charge; it lives for the
+process and holds at most a fixed number of entries (least recently used
+go first).  With j = p/q an action sums A q + B (p + q k) against the
+state's numerators over q and reduces once.  Sums, scalings and the (JJ)_n
+and Ls_n combinations add integer forms over a common denominator.
 """
 from __future__ import annotations
 
-from contextlib import contextmanager
-from contextvars import ContextVar
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, lcm
 from typing import Dict, Iterable, List, Optional, Tuple
 
@@ -241,19 +243,23 @@ def act(expr: ModeExpr, state: GhostState) -> GhostState:
     return state._like(out)
 
 
-def _unit_action(op: str, n: int, key: StateKey, j: Fraction,
-                 ell: int) -> Tuple[Tuple[StateKey, int], ...]:
-    """X_n on mono * phi_{j+shift}^ell for key = (mono, shift) and X = J (op
-    CURRENT, weight 1) or L (op VIRASORO, weight c), as (key, numerator)
-    pairs over 2q, with j = p/q: every coefficient of the derivation lies in
-    Z/(2q)."""
-    mono, shift = key
-    q = j.denominator
-    charge = j.numerator + q * shift  # q (j + shift)
-    two_q = 2 * q
+@lru_cache(maxsize=1 << 16)
+def _unit_action(op: str, n: int, mono: Monomial,
+                 ell: int) -> Tuple[Tuple[Monomial, int, int, int], ...]:
+    """X_n on mono * phi_{j+shift}^ell for X = J (op CURRENT, weight 1) or
+    L (op VIRASORO, weight c), as (image, dshift, A, B) entries: the
+    coefficient of image * phi_{j+shift+dshift}^ell is A + B (j + shift),
+    with integers A and B that depend on neither j nor shift.  One table
+    serves every charge for the life of the process, up to a fixed number
+    of entries."""
     current = op == CURRENT
     weight = (lambda c: 1) if current else (lambda c: c)
-    out: Dict[StateKey, int] = {}
+    out: Dict[Tuple[Monomial, int], Tuple[int, int]] = {}
+
+    def add(image: Monomial, dshift: int, a: int, b: int = 0) -> None:
+        a0, b0 = out.get((image, dshift), (0, 0))
+        out[(image, dshift)] = (a0 + a, b0 + b)
+
     for i, (fam, k) in enumerate(mono):
         # [X_n, b_k] = weight(-k) b_{n+k},  [X_n, g_k] = -weight(n+k) g_{n+k}
         m = n + k
@@ -266,70 +272,45 @@ def _unit_action(op: str, n: int, key: StateKey, j: Fraction,
         conj, sign, zero_grade = (GAMMA, -1, -ell) if fam == BETA else (BETA, 1, ell)
         for a in range(i + 1, len(mono)):
             if mono[a] == (conj, -m):
-                image = (mono[:i] + mono[i + 1 : a] + mono[a + 1 :], shift)
-                out[image] = out.get(image, 0) + sign * c * two_q
+                add(mono[:i] + mono[i + 1 : a] + mono[a + 1 :], 0, sign * c)
         if m < zero_grade:
-            image, c = (_sort_monomial(rest + ((fam, m),)), shift), c * two_q
+            add(_sort_monomial(rest + ((fam, m),)), 0, c)
         elif m == zero_grade:
             if fam == BETA:  # b_{-ell} phi_j = j phi_{j+1}
-                image, c = (rest, shift + 1), 2 * c * charge
+                add(rest, 1, 0, c)
             else:  # g_ell phi_j = phi_{j-1}
-                image, c = (rest, shift - 1), c * two_q
-        else:
-            continue
-        out[image] = out.get(image, 0) + c
+                add(rest, -1, c)
     # X_n on the bare primary phi_{j+shift}^ell
     if n == 0:
         # J_0 phi_j = (j - ell) phi_j,  L_0 phi_j = (j ell - ell(ell+1)/2) phi_j
-        eigen = 2 * (charge - q * ell) if current else 2 * ell * charge - q * ell * (ell + 1)
-        out[key] = out.get(key, 0) + eigen
+        add(mono, 0, *((-ell, 1) if current else (-(ell * (ell + 1) // 2), ell)))
     elif n < 0:
-        primary = [((mode(BETA, n - ell),), -1, weight(ell) * two_q),
-                   ((mode(GAMMA, n + ell),), 1, 2 * weight(n + ell) * charge)]
-        primary += [((mode(BETA, n - c), mode(GAMMA, c)), 0, weight(c) * two_q)
-                    for c in range(n + ell + 1, ell)]
-        for extra, dshift, c in primary:
-            image = (_sort_monomial(mono + extra), shift + dshift)
-            out[image] = out.get(image, 0) + c
-    return tuple((image, c) for image, c in out.items() if c)
-
-
-# The unit actions of one check run, keyed by (op, n, p, q, ell) for the
-# base charge j = p/q and then by (mono, shift); None outside a run.
-_UNITS: ContextVar[Optional[dict]] = ContextVar("ghostcft_unit_actions", default=None)
-
-
-@contextmanager
-def _memoised():
-    """Within the block, J_n and L_n look up their action on each monomial
-    in one memo, dropped when the block ends (also on a raise)."""
-    token = _UNITS.set({})
-    try:
-        yield
-    finally:
-        _UNITS.reset(token)
+        add(_sort_monomial(mono + (mode(BETA, n - ell),)), -1, weight(ell))
+        add(_sort_monomial(mono + (mode(GAMMA, n + ell),)), 1, 0, weight(n + ell))
+        for c in range(n + ell + 1, ell):
+            add(_sort_monomial(mono + (mode(BETA, n - c), mode(GAMMA, c))), 0, weight(c))
+    return tuple((image, dshift, a, b) for (image, dshift), (a, b) in out.items() if a or b)
 
 
 def _derivation(state: GhostState, n: int, op: str) -> GhostState:
     """X_n = sum_c weight(c) :b_{n-c} g_c: acting as the derivation
     X_n x_1..x_r phi = sum_i x_1..[X_n, x_i]..x_r phi + x_1..x_r X_n phi,
-    on the integer form of the state: the numerators of each unit action
-    (over 2q) are summed with the state's numerators (over den), and the
-    result is reduced once."""
-    j, ell = state.j, state.ell
-    den, nums = state._den, state._nums
-    memo = _UNITS.get()
-    outer = (op, n, j.numerator, j.denominator, ell)
-    units = {} if memo is None else memo.setdefault(outer, {})
+    on the integer form of the state: with j = p/q, each table entry of a
+    monomial on phi_{j+shift} gives the numerator A q + B (p + q shift) over
+    q, summed against the state's numerators (over den); the result is
+    reduced once."""
+    p, q = state.j.numerator, state.j.denominator
+    ell = state.ell
     out: Dict[StateKey, int] = {}
     get = out.get
-    for key, a in nums.items():
-        unit = units.get(key)
-        if unit is None:
-            unit = units[key] = _unit_action(op, n, key, j, ell)
-        for image, c in unit:
-            out[image] = get(image, 0) + a * c
-    return state._from_ints(den * 2 * j.denominator, out)
+    for (mono, shift), a in state._nums.items():
+        charge = p + q * shift  # q (j + shift)
+        for image, dshift, ca, cb in _unit_action(op, n, mono, ell):
+            c = ca * q + cb * charge
+            if c:  # a term zero at this charge adds no key, nor moves one
+                key = (image, shift + dshift)
+                out[key] = get(key, 0) + a * c
+    return state._from_ints(state._den * q, out)
 
 
 def act_current(state: GhostState, n: int) -> GhostState:

@@ -14,6 +14,7 @@ import pytest
 
 from ghostcft import cli
 from ghostcft import correlators as co
+from ghostcft import kzbpz as kz
 from ghostcft.cli import main
 
 
@@ -543,20 +544,35 @@ def test_readme_op_table_matches_the_cli():
     assert [re.sub(r" +\|", " |", r) for r in rows] == want
 
 
-def test_nan_residual_fails_its_report(capsys, monkeypatch):
-    # a NaN residual, planted through a prefactor that is NaN at every
-    # sample, must fail its report, not pass
-    from ghostcft.correlators import WardForm
+def _nan_report(*args, tolerance=None, label="planted", **kwargs):
+    rep = kz.ResidualReport(label, tolerance=tolerance)
+    rep.add({"sample": 0}, float("nan"))
+    return rep
 
-    monkeypatch.setattr(WardForm, "_prefactor", lambda self, ws: complex("nan"))
-    code, out = run(capsys, "residual", "--op", "ward", "--ell", "1",
-                    "--charges", "0.3,0.45,0.27,-0.02")
-    reports = {rep["operator"]: rep for rep in json.loads(out)}
-    residuals = [s["residual"] for s in reports["L-1"]["samples"]]
-    assert any(r != r for r in residuals)
-    assert reports["L-1"]["pass"] is False
-    assert reports["L-1"]["max_residual"] == float("inf")
-    assert code == 1
+
+@pytest.mark.parametrize("plant, argv", [
+    # a prefactor that is NaN at every sample makes every Ward residual NaN
+    (lambda mp: mp.setattr(co.WardForm, "_prefactor", lambda self, ws: complex("nan")),
+     ["residual", "--op", "ward", "--ell", "1", "--charges", "0.3,0.45,0.27,-0.02"]),
+    # a residual engine that returns NaN, looked up where the op table runs it
+    (lambda mp: mp.setattr(kz, "bpz_residual", _nan_report),
+     ["residual", "--op", "bpz", "--ell", "2", "--charges", "0.3,0.4,1/2,0.8"]),
+    (lambda mp: mp.setattr(cli.idn, "identity_gap", lambda case: float("nan")),
+     ["identity-check", "--draws", "2"]),
+], ids=["ward", "bpz", "identity-check"])
+def test_nan_residual_is_refused_not_printed(capsys, monkeypatch, tmp_path, plant, argv):
+    """A report that would carry a nan or inf (a NaN residual makes the
+    report's max_residual infinite) is refused with a named error and exit
+    2: nothing is printed, and no --output file is written."""
+    plant(monkeypatch)
+    command = " ".join(argv[:3]) if argv[0] == "residual" else argv[0]
+    output = tmp_path / "report.json"
+    for extra in ([], ["--output", str(output)]):
+        code = main(argv + extra)
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == f"error: {command} gave a value that is not finite\n"
+    assert not list(tmp_path.iterdir())
 
 
 def test_commands_in_one_process_match_each_alone(capsys):

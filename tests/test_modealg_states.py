@@ -4,6 +4,8 @@ import inspect
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ghostcft.modealg import (
     BETA,
@@ -391,8 +393,8 @@ def test_kernel_matches_the_fraction_derivation(rng, ell):
 
 
 def test_check_run_over_two_charges_matches_the_reference(monkeypatch):
-    """Inside one check run the memo serves states of two charges that share
-    their monomials; every action of the run matches the reference."""
+    """Inside one check run the unit table serves states of two charges that
+    share their monomials; every action of the run matches the reference."""
     sts = (basis_states(Fraction(1, 3), 1, max_level=2, max_factors=2)[:3]
            + basis_states(Fraction(-2, 5), 1, max_level=2, max_factors=2)[:3])
     seen = []
@@ -413,18 +415,61 @@ def test_check_run_over_two_charges_matches_the_reference(monkeypatch):
         assert out == want and out.to_text() == want.to_text()
 
 
-def test_unit_memo_lives_for_one_check_call():
+# the monomials of basis_states up to level 4, per flow
+_TABLE_MONOS = {ell: [next(iter(s.terms))[0] for s in basis_states(0, ell, max_level=4)]
+                for ell in range(-2, 3)}
+
+
+@st.composite
+def _table_draws(draw):
+    """A state on phi_j^ell of one to three basis monomials up to level 4 at
+    shifts -3..3, a second charge to warm the table at, and n in -4..4; the
+    charges have denominators up to 97 and take 0 and negative values."""
+    charge = st.builds(Fraction, st.integers(-300, 300), st.integers(1, 97))
+    j, other = draw(charge), draw(charge)
+    ell = draw(st.integers(-2, 2))
+    terms = draw(st.dictionaries(
+        st.tuples(st.sampled_from(_TABLE_MONOS[ell]), st.integers(-3, 3)),
+        st.builds(Fraction, st.integers(-9, 9).filter(bool), st.integers(1, 7)),
+        min_size=1, max_size=3))
+    return GhostState(j, ell, terms), other, draw(st.integers(-4, 4))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_table_draws())
+@example((GhostState(0, 1, {(((BETA, -3), (GAMMA, -1)), -1): Fraction(2, 3),
+                            (((GAMMA, 0),), 2): Fraction(-1)}), Fraction(-7, 97), -2))
+@example((GhostState(Fraction(-5, 3), -2, {(((BETA, 1),), 3): Fraction(1)}), Fraction(0), 0))
+def test_unit_table_matches_the_fraction_derivation(draw):
+    """J_n and L_n by table lookup equal the term-by-term Fraction
+    derivation, with the table warmed at another charge and from empty."""
+    state, other, n = draw
+    warm = GhostState(other, state.ell, {key: Fraction(1) for key in state.terms})
+    for kernel, reference in ((act_current, _current_ref), (act_virasoro, _virasoro_ref)):
+        kernel(warm, n)
+        want = reference(state, n)
+        assert kernel(state, n) == want
+        states._unit_action.cache_clear()
+        got = kernel(state, n)
+        assert got == want and got.to_text() == want.to_text()
+
+
+def test_a_check_that_raises_leaves_the_unit_table_sound():
+    """The unit table outlives every check: one that raises midway leaves
+    the next check on the same states with its right verdict, true or
+    false, and the table holds a bounded number of entries."""
     sts = basis_states(Fraction(1, 3), 0, max_level=2, max_factors=2)[:2]
-    assert checks.check_jj_commutators(sts, range(-1, 2))
-    assert states._UNITS.get() is None
 
     def fails(s, m, n):
-        act_current(s, m)  # fills the memo first
+        act_current(s, m)  # fills the table first
         raise ZeroDivisionError
 
     with pytest.raises(ZeroDivisionError):
         checks._brackets_hold(sts, range(-1, 2), act_current, act_current, fails)
-    assert states._UNITS.get() is None
+    assert checks.check_jj_commutators(sts, range(-1, 2))
+    assert checks.check_virasoro(sts, 2, act_virasoro, range(-2, 3))
+    assert not checks.check_virasoro(sts, 3, act_virasoro, range(-2, 3))
+    assert isinstance(states._unit_action.cache_info().maxsize, int)
 
 
 # ----------------------------------------------------------------------
