@@ -9,10 +9,9 @@ whose like terms merge as a sum is built:
   the charge-shift recursion needs to run in exact rational arithmetic.
   ``canonical()`` picks the unique representative of an exact sum: it splits
   the sum into exponent classes, each eta^P (1-eta)^Q times a polynomial
-  with int coefficients over one int denominator (``classes()``, sorted by
-  class), and reduces each class (``from_classes()``).  The charge-shift
-  recursion steps those int coefficients through all its steps and reduces
-  once at the end, so it returns only the terms of the closed form.
+  with int coefficients over one int denominator (``classes()``), and
+  reduces each class (``from_classes()``), as the charge-shift recursion
+  does after stepping the classes, so it returns only the closed form.
 
 * BlockSum -- a sum of c * eta^p (1-eta)^q * payload(eta), keyed by
   (p, q, kind, params), where each payload is one of {1, 2F1(a,b;c;eta),
@@ -37,17 +36,6 @@ from . import specfun
 from .errors import ParamError, PoleError
 from .lincomb import LinComb
 from .scalars import Scalar, _gaussian_horner, all_exact, as_fraction, cpow, is_exact, to_complex
-
-
-def _strip_zero_ends(nums: list) -> Tuple[int, list]:
-    """(lo, nums[lo:hi]): the coefficients without the zeros at either end,
-    and the number lo of leading zeros dropped."""
-    lo, hi = 0, len(nums)
-    while lo < hi and nums[lo] == 0:
-        lo += 1
-    while hi > lo and nums[hi - 1] == 0:
-        hi -= 1
-    return lo, nums[lo:hi]
 
 
 class PowerSum(LinComb):
@@ -115,16 +103,11 @@ class PowerSum(LinComb):
     def classes(self) -> list:
         """The exact sum split by exponent class (p mod 1, q mod 1), sorted
         by class, so the split does not depend on the order of the terms.
-
-        The monomials eta^p (1-eta)^q are overcomplete across integer
-        exponent shifts.  Within a class every term is brought to the
-        class-minimal q by expanding surplus (1-eta) powers, so the class is
-        eta^P (1-eta)^Q sum_k a_k eta^k with a_0 != 0.  It is returned as
-        (p_frac, q_frac, p0, q0, den, nums, None) with P = p_frac + p0,
-        Q = q_frac + q0 and a_k = nums[k] / den: ``den`` is a positive int,
-        ``nums`` a list of ints, and gcd(den, *nums) = 1 (None: no payload
-        derivative, see ``kzbpz._exact_steps``).  A class whose terms cancel
-        is left out.  The split is kept; callers must not change it."""
+        Within a class every term is brought to the class-minimal q by
+        expanding surplus (1-eta) powers, giving eta^P (1-eta)^Q A(eta): the
+        ``dfinite`` element (p_frac, q_frac, p0, q0, den, A, None) with u = 1,
+        as ``dfinite.reduced`` gives it.  A class whose terms cancel is left
+        out.  The split is kept; callers must not change it."""
         if hasattr(self, "_classes"):
             return self._classes
         # split each exponent once: the class is keyed by the fractional
@@ -160,13 +143,10 @@ class PowerSum(LinComb):
     @classmethod
     def from_classes(cls, classes) -> "PowerSum":
         """The canonical sum of classes given as by ``classes()``, each with
-        any polynomial nums / den: zero end coefficients are dropped and
-        every factor (1-eta) of the polynomial is divided out, leaving the
+        any polynomial: every factor (1-eta) is divided out, leaving the
         unique representative that vanishes at neither eta = 0 nor 1."""
         out: dict = {}
         for p_frac, q_frac, p0, q0, den, nums, _bnums in classes:
-            lo, nums = _strip_zero_ends(nums)
-            p0 += lo
             # A(1) = 0: A(eta) = (1-eta) B(eta) with B_j = a_0 + ... + a_j
             while len(nums) > 1 and sum(nums) == 0:
                 nums = list(prefix_sums(nums[:-1]))
@@ -245,10 +225,10 @@ def values_at(sums: Sequence["BlockSum"], eta: Scalar, payloads: dict) -> list:
     keyed by (kind, params, the types of params); each is evaluated the
     first time a term of any sum needs it.  The types are in the key
     because an exact parameter can take another route through ``specfun``
-    than an equal float.  Each term is c * eta^p, times (1-eta)^q when
-    q != 0, times its payload, added in the order of the sum; at a real
-    float eta, a sum split by ``BlockSum._payload_classes`` is summed per
-    payload by ``_classes_at``, which rounds once per class."""
+    than an equal float.  Each term is c, times eta^p when p != 0, times
+    (1-eta)^q when q != 0, times its payload, added in the order of the
+    sum; at a real float eta, a sum split by ``BlockSum._payload_classes``
+    is summed per payload by ``_classes_at``, which rounds once per class."""
     one_minus = 1 - to_complex(eta)
     out = []
     for bs in sums:
@@ -258,8 +238,8 @@ def values_at(sums: Sequence["BlockSum"], eta: Scalar, payloads: dict) -> list:
             for (kind, params, _types), classes in split]
         total = 0j
         for (p, q, kind, params), c in terms:
-            # a factor (1-eta)^0 or a payload 1 is skipped, not multiplied in
-            term = c * cpow(eta, p)
+            # a factor eta^0 or (1-eta)^0, or a payload 1, is skipped, not multiplied in
+            term = c * cpow(eta, p) if p != 0 else c
             if q != 0:
                 term = term * cpow(one_minus, q)
             if kind != "pow":

@@ -16,10 +16,8 @@ identification of the specialized shifted correlators, is the input block
 itself (for flow 1 that identification is the displayed equality of
 shifted correlators; it is what reproduces every higher-flow closed form).
 
-Every recursion runs in one integer kernel (``_exact_steps``), on the
-binary value of a float: the block is split into its exponent classes once,
-and a recurrence steps the int coefficients of each class, A of u and B of
-u' for a 2F1 payload u (whose ODE closes span{u, u'}), through all k steps.
+Each exponent class of the block, A u + B u' for a 2F1 payload u, steps
+through all k operators in one exact kernel, ``dfinite.apply``.
 """
 from __future__ import annotations
 
@@ -30,7 +28,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, List, Optional, Tuple, Union
 
-from .blocks import BlockSum, PowerSum, _strip_zero_ends, as_blocksum
+from . import dfinite
+from .blocks import BlockSum, PowerSum, as_blocksum
 from .correlators import (
     GhostPrimary,
     WardForm,
@@ -494,115 +493,50 @@ def threept_constraint_check(j1, j2, j3, ell: int) -> ThreePtVerdict:
 Block = Union[PowerSum, BlockSum]
 
 
-def _exact_steps(classes, charges, ell: int, k: int, ode=None) -> list:
-    """k steps of the charge-shift recursion on the exponent classes of
-    ``PowerSum.classes()``, charges marching (j3 + t, j4 - t), exactly: a
-    float charge enters as its binary value.
-
-    A class eta^P (1-eta)^Q (A u + B u'), A = nums / den, B = bnums / den,
-    with a payload u that solves eta (1-eta) u'' = (s eta - r) u' + m u,
-    ode = (m, s, r), becomes eta^(P+l) (1-eta)^Q (A' u + B' u') with
-
-        A'_i = -(1/j3) [(down - i) a_i + (up + i) a_(i-1) - m b_i],
-        B'_i = -(1/j3) [(down + r - i) b_i + (up - s + i) b_(i-1)
-                        - a_(i-1) + a_(i-2)],
-        down = b - P,  up = P + Q + a + j2 - 1,
-
-    a = h4l + j1 + (l-1) j2 and b = (l-1) j3; a power block (u = 1) has no
-    ode and bnums None.  Over L = lcm of the denominators of down, up and
-    the ode, and j3 = jn/jd, A' and B' are int lists over the denominator
-    den L |jn|, reduced by their gcd; each class steps on its own, with L
-    fixed.  The factors (1-eta) of A' stay in it: ``PowerSum.from_classes``
-    divides them out at the end."""
+def _charge_shift_ops(charges, ell: int, k: int):
+    """The k steps, charges (j3 + t, j4 - t) at step t, as ``dfinite``
+    operators over their w: eta^l [-(l-1) - (a_t + j2) eta / (j3+t)
+    + (1-eta) theta / (j3+t)] (the module docstring, theta = eta d/deta), with
+    a_t = h4l(j4 - t) + j1 + (l-1) j2, on the binary value of a float charge."""
     j1, j2, j3, j4 = map(Fraction, charges)
     if j3.denominator == 1 and -k < j3 <= 0:
         raise DivisionByZeroCharge("the shifted charge j3 must be non-zero")
-    a_coeff = GhostPrimary(j4, ell).weight + j1 + (ell - 1) * j2
-    jn, jd = j3.numerator, j3.denominator
-    stepped = []
-    for p_frac, q_frac, p0, q0, den, nums, bnums in classes:
-        p = p_frac + p0
-        down, up = (ell - 1) * j3 - p, p + q_frac + q0 + a_coeff + j2 - 1
-        big_l = math.lcm(down.denominator, up.denominator, *(x.denominator for x in ode or ()))
-        dn, un = (x.numerator * (big_l // x.denominator) for x in (down, up))
-        mn, sn, rn = (x.numerator * (big_l // x.denominator) for x in ode or (0, 0, 0))
-        for t in range(k):
-            # -(1/(j3 + t)) = factor / |jt|
-            jt = jn + t * jd
-            factor = -jd if jt > 0 else jd
-            if bnums is None:
-                nums = [factor * ((dn - i * big_l) * c + (un + i * big_l) * prev)
-                        for i, (c, prev) in enumerate(zip(nums + [0], [0] + nums))]
-            else:
-                # zero-padded, so that a[-2], a[-1] and b[-1] read 0
-                a, b = nums + [0] * (len(bnums) + 2), bnums + [0] * (len(nums) + 2)
-                nums, bnums = (
-                    [factor * ((dn - i * big_l) * a[i] + (un + i * big_l) * a[i - 1] - mn * b[i])
-                     for i in range(max(len(nums) + 1, len(bnums)))],
-                    [factor * ((dn + rn - i * big_l) * b[i] + (un - sn + i * big_l) * b[i - 1]
-                               - big_l * (a[i - 1] - a[i - 2]))
-                     for i in range(max(len(bnums) + 1, len(nums) + 2))])
-            den = den * big_l * abs(jt)
-            g = math.gcd(den, *nums, *(bnums or ()))
-            lo, nums = _strip_zero_ends(nums) if bnums is None else (0, nums)
-            if not (any(nums) or any(bnums or ())):
-                break  # the class vanishes
-            den, nums, bnums = den // g, [c // g for c in nums], bnums and [c // g for c in bnums]
-            # the next step's P is P + l + lo, so down falls by 1 + lo and up rises by lo
-            p0, dn, un = p0 + lo + ell, dn - (1 + lo) * big_l, un + lo * big_l
-        else:
-            stepped.append((p_frac, q_frac, p0, q0, den, nums, bnums))
-    return stepped
+    lead = GhostPrimary(j4, ell).weight + j1 + ell * j2  # a_0 + j2 = an / ad, and w = ad
+    jn, jd, an, ad = j3.numerator, j3.denominator, lead.numerator, lead.denominator
+    return [(ell, 0, (1 - ell) * (jn + t * jd) * ad, (ell * t * ad - an) * jd, jd, jn + t * jd)
+            for t in range(k)], ad
 
 
-def _two_f1_steps(block: BlockSum, charges, ell: int, k: int) -> BlockSum:
-    """``_exact_steps`` on A u, u = 2F1(a, b; c; eta), to A u + B u' with
-    u' = (ab/c) 2F1(a+1, b+1; c+1; eta), in the parameter types of u, split
-    by payload as ``BlockSum._payload_classes`` would split it."""
-    payloads = {key[2:] for key in block.terms}
-    (kind, u), *rest = payloads
-    if kind != "2f1" or rest:
-        raise ParamError(f"the recursion takes powers or one 2F1 payload, not {payloads}")
-    a, b, c = map(Fraction, u)
-    if c <= 0 and c.denominator == 1 and not any(c < x <= 0 and x.denominator == 1
-                                                  for x in (a, b)):
-        raise PoleError(f"the recursion's payload 2F1({u[0]}, {u[1]}; {u[2]}; eta) sits on a pole: "
-                        "2F1 has one at the lower parameter c = 0 and at each negative integer c")
-    exact = PowerSum({tuple(map(Fraction, key[:2])): Fraction(x) for key, x in block.terms.items()})
-    classes = [(*cls[:6], [0]) for cls in exact.classes()]
-    lift, du = a * b / c, tuple(x + 1 for x in u)
-    terms, split = {}, {}
-    for p_frac, q_frac, p0, q0, den, nums, bnums in _exact_steps(
-            classes, charges, ell, k, (a * b, a + b + 1, c)):
-        for params, coeffs, (sn, sd) in ((u, nums, (1, 1)), (du, bnums, lift.as_integer_ratio())):
-            lo, coeffs = _strip_zero_ends([x * sn for x in coeffs])
-            if coeffs:  # the payload's part of the class, reduced as classes() reduces it
-                g = math.gcd(den * sd, *coeffs)
-                lead, part_den, coeffs = p0 + lo, den * sd // g, [x // g for x in coeffs]
-                split.setdefault(("2f1", params, tuple(map(type, params))), []).append(
-                    (p_frac, q_frac, lead, q0, part_den, coeffs, None))
-                terms.update(((p_frac + (lead + i), q_frac + q0, "2f1", params),
-                              Fraction(x, part_den)) for i, x in enumerate(coeffs) if x)
+def _payload_blocksum(stepped, u, params) -> BlockSum:
+    """Stepped classes A u + B u' as a BlockSum in u and u' = (ab/c) 2F1(a+1,
+    b+1; c+1; eta), with the split ``BlockSum._payload_classes`` would make."""
+    lift, du, terms, split = params[0] * params[1] / params[2], tuple(x + 1 for x in u), {}, {}
+    for p_frac, q_frac, p0, q0, den, *lists in stepped:
+        for pars, coeffs, (sn, sd) in zip((u, du), lists, ((1, 1), lift.as_integer_ratio())):
+            # the payload's part of the class, reduced as classes() reduces it
+            part = dfinite.reduced((p_frac, q_frac, p0, q0, den * sd, [x * sn for x in coeffs], None))
+            if part:
+                split.setdefault(("2f1", pars, tuple(map(type, pars))), []).append(part)
+                terms.update(((p_frac + (part[2] + i), q_frac + q0, "2f1", pars),
+                              Fraction(x, part[4])) for i, x in enumerate(part[5]) if x)
     out = BlockSum(terms)
     out._plan = list(split.items()) if len(terms) > 1 else None
     return out
 
 
 def recursion_step(block: Block, charges, ell: int) -> Block:
-    """One step of the charge-shift algorithm, (j1, j2, j3, j4) ->
-    (j1, j2, j3+1, j4-1), whose companion is the block itself (the module
-    docstring): ``recursion_iterate`` at k = 1."""
+    """One step (j1, j2, j3, j4) -> (j1, j2, j3+1, j4-1), whose companion is
+    the block itself (the module docstring): ``recursion_iterate`` at k = 1."""
     return recursion_iterate(block, charges, ell, 1)
 
 
 def recursion_iterate(block: Block, charges, ell: int, k: int) -> Block:
-    """k steps, charges marching (j3 + t, j4 - t), in one exact kernel,
-    ``_exact_steps``, for exact and float (real) input alike.  A PowerSum
-    comes back canonical, a BlockSum of powers as one, and a BlockSum of one
-    2F1 payload u as A u + B u', with exact coefficients; any other payload
-    raises ParamError, a 2F1 on a pole of its lower parameter PoleError.
-    At k = 0 the block comes back unchanged.  Float charges that conserve to
-    1e-12 (``charge_conserved``) run with j4 = l - j1 - j2 - j3, exactly."""
+    """k steps, charges marching (j3 + t, j4 - t), exact for exact and float
+    (real) input alike.  A PowerSum comes back canonical, a BlockSum of powers
+    as one, and a BlockSum of one 2F1 payload u as A u + B u'; any other
+    payload raises ParamError, a 2F1 on a pole of its lower parameter
+    PoleError; k = 0 returns the block.  Float charges that conserve to 1e-12
+    (``charge_conserved``) run with j4 = l - j1 - j2 - j3, exactly."""
     if k < 0:
         raise ValueError("k must be non-negative")
     if not k:
@@ -611,8 +545,25 @@ def recursion_iterate(block: Block, charges, ell: int, k: int) -> Block:
         j1, j2, j3 = map(Fraction, charges[:3])
         charges = (j1, j2, j3, ell - j1 - j2 - j3)
     powers = block.try_powersum() if isinstance(block, BlockSum) else block
+    # a power block is u = 1 with no B; a 2F1 block u starts from B = 0
     if powers is None:
-        return _two_f1_steps(block, charges, ell, k)
-    exact = PowerSum({tuple(map(Fraction, key)): Fraction(x) for key, x in powers.terms.items()})
-    out = PowerSum.from_classes(_exact_steps(exact.classes(), charges, ell, k))
+        (kind, u), *rest = payloads = {key[2:] for key in block.terms}
+        if kind != "2f1" or rest:
+            raise ParamError(f"the recursion takes powers or one 2F1 payload, not {payloads}")
+        params = a, b, c = tuple(map(Fraction, u))
+        if c <= 0 and c.denominator == 1 and not any(c < x <= 0 and x.denominator == 1
+                                                      for x in (a, b)):
+            raise PoleError(f"the recursion's payload 2F1({u[0]}, {u[1]}; {u[2]}; eta) sits on "
+                            "a pole: 2F1 has one at the lower parameter c = 0 and at each "
+                            "negative integer c")
+        coeffs, start = {key[:2]: x for key, x in block.terms.items()}, []
+    else:
+        coeffs, u, params, start = powers.terms, None, (0, 0, 0), None
+    exact = PowerSum({tuple(map(Fraction, key)): Fraction(x) for key, x in coeffs.items()})
+    ops, w = _charge_shift_ops(charges, ell, k)
+    stepped = [out for cls in exact.classes()
+               if (out := dfinite.reduced(dfinite.apply((*cls[:6], start), params, ops, w)))]
+    if u is not None:
+        return _payload_blocksum(stepped, u, params)
+    out = PowerSum.from_classes(stepped)
     return out if powers is block else out.to_blocksum()

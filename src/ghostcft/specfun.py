@@ -4,8 +4,8 @@ Gamma (Lanczos rational approximation plus reflection), Pochhammer symbols,
 complete/incomplete beta, Gauss 2F1 with its transformation graph (direct
 series, Pfaff remap, 0->1 connection, terminating and regularized variants,
 Frobenius log pair at c=1) and a 3F2 evaluator that reduces an
-integer-offset 3F2 exactly onto one 2F1 and its derivative.  The direct 2F1
-and 3F2 series share one pFq loop.
+integer-offset 3F2 exactly onto one 2F1 and its derivative with the operator
+steps of ``dfinite``.  The direct 2F1 and 3F2 series share one pFq loop.
 
 Left of Re z = 1/2 gamma reflects, gamma(z) = pi / (sin(pi z) gamma(1-z)),
 with sin(pi z) = (-1)^n sin(pi (z-n)) at the nearest integer n: z - n is
@@ -21,6 +21,7 @@ import cmath
 import math
 from fractions import Fraction
 
+from . import dfinite
 from .errors import (
     BranchCutError,
     ConvergenceError,
@@ -292,40 +293,32 @@ def hyp2f1_log_pair(a: Scalar, b: Scalar, z: Scalar):
 
 def _integer_offset_3f2(big_a, big_b, big_c, beta, k: int, z: Scalar):
     """3F2(A, B, beta+k; C, beta; z) = prod_{t<k} (beta+t+theta) F / (beta)_k,
-    F = 2F1(A, B; C; z), theta = z d/dz, real parameters (D-finite closure).
-    With A, B, C, beta, z = a/D, b/D, c/D, s/D, n/D (binary values, one int D),
-    (1-z) theta^2 F = ((A+B) z - (C-1)) theta F + AB z F turns each factor
-    D (beta + t + theta) of (p F + q D theta F) / (1-z)^t into that form at
-    t + 1: p'_i = (s + D (t+i)) p_i + (D (1-i) - s) p_(i-1) + ab q_(i-1),
-    q'_i = (s + D (t+i+1) - c) q_i + (D (1-i) - s + a + b) q_(i-1) + p_i - p_(i-1),
-    int lists.  D theta F = (ab/c) z 2F1(A+1, B+1; C+1; z).  p(z) and q(z) are
-    summed exactly (n a Gaussian int) and each 2F1 coefficient is rounded once."""
+    F = 2F1(A, B; C; z), theta = z d/dz, on the binary values of real
+    parameters: ``dfinite.apply`` steps F through each (1-z)^(-1)
+    [(beta+t)(1-z) + (1-z) theta] to (p F + q F') / (1-z)^k, with int p and
+    q; p(z), q(z) and (1-z)^k (beta)_k are exact, each coefficient rounded once."""
     if not k:
         return hyp2f1(big_a, big_b, big_c, z)
-    zc = to_complex(z)
-    ratios = [to_complex(v).real.as_integer_ratio() for v in (big_a, big_b, big_c, beta)]
-    ratios += [zc.real.as_integer_ratio(), zc.imag.as_integer_ratio()]
-    big_d = math.lcm(*(d for _, d in ratios))
-    a, b, c, s, nr, ni = (n * (big_d // d) for n, d in ratios)
-    p, q, scale = [1], [0], 1
-    for t in range(k):
-        p_hi, q_hi = p + [0], q + [0]  # index i holds the z^i coefficient
-        p_lo, q_lo = [0] + p, [0] + q  # index i holds the z^(i-1) coefficient
-        p = [(s + big_d * (t + i)) * p_hi[i] + (big_d * (1 - i) - s) * p_lo[i]
-             + a * b * q_lo[i] for i in range(t + 2)]
-        q = [(s + big_d * (t + i + 1) - c) * q_hi[i] + (big_d * (1 - i) - s + a + b) * q_lo[i]
-             + p_hi[i] - p_lo[i] for i in range(t + 2)]
-        scale *= s + big_d * t
-    # p(z) D^k, z q(z) D^(k+1) and w = S D^k (1 - z)^k with S = D^k (beta)_k
-    pr, pi = _gaussian_horner(p, nr, ni, big_d)
-    qr, qi = _gaussian_horner([0] + q, nr, ni, big_d)
-    w_coeffs = [(-1) ** i * math.comb(k, i) * scale for i in range(k + 1)]
-    wr, wi = _gaussian_horner(w_coeffs, nr, ni, big_d)
-    norm = wr * wr + wi * wi
-    qnorm = norm * big_d * c  # z q(z) times ab / (D c)
+    params = [to_complex(v).real for v in (big_a, big_b, big_c)]
+    sn, sd = to_complex(beta).real.as_integer_ratio()
+    ops = [(0, -1, sn + t * sd, -sn - t * sd, 1, 1) for t in range(k)]
+    # (p F + q F') / ((1-z)^k den): h = 0 keeps p0 = 0, and q0 = -k
+    *_, den, p, q = dfinite.apply((0, 0, 0, 0, 1, [1], []), params, ops, sd)
+    (nr, dr), (ni, di) = ((zc := to_complex(z)).real.as_integer_ratio(), zc.imag.as_integer_ratio())
+    big_d = math.lcm(dr, di)
+    nr, ni, poch = nr * (big_d // dr), ni * (big_d // di), math.prod(op[2] for op in ops)
+    # D^(k+1) p(z), q(z) and w(z), w = (1-z)^k prod_t (sn + t sd); p has degree k, q k + 1
+    (pr, pi), (qr, qi), (wr, wi) = [
+        _gaussian_horner(c + [0] * (k + 2 - len(c)), nr, ni, big_d)
+        for c in (p, q, [(-1) ** i * math.comb(k, i) * poch for i in range(k + 1)])]
+    # (beta)_k = poch / sd^k, and AB/C = an bn cd / (ad bd cn): a zero part of
+    # cq takes the sign of C
+    (an, ad), (bn, bd), (cn, cd) = [x.as_integer_ratio() for x in params]
+    norm, pn = (wr * wr + wi * wi) * den, sd ** k
+    qn, qnorm = an * bn * cd * pn, norm * ad * bd * cn
     try:
-        cp = complex((pr * wr + pi * wi) / norm, (pi * wr - pr * wi) / norm)
-        cq = complex(a * b * (qr * wr + qi * wi) / qnorm, a * b * (qi * wr - qr * wi) / qnorm)
+        cp = complex(pn * (pr * wr + pi * wi) / norm, pn * (pi * wr - pr * wi) / norm)
+        cq = complex(qn * (qr * wr + qi * wi) / qnorm, qn * (qi * wr - qr * wi) / qnorm)
     except (OverflowError, ZeroDivisionError):
         raise ParamError(f"3F2 at z = {z}: a pole at z = 1, or a double overflow") from None
     return cp * hyp2f1(big_a, big_b, big_c, z) + cq * hyp2f1(big_a + 1, big_b + 1, big_c + 1, z)
