@@ -383,9 +383,7 @@ def exact_series(block, order: int, base_p=None) -> Tuple[Fraction, list]:
         if kind not in ("pow", "2f1"):
             raise ValueError(f"exact series not supported for payload {kind}")
         prefs.append(as_fraction(p))
-    if not prefs:
-        return Fraction(0), [Fraction(0)] * (order + 1)
-    p0 = min(prefs) if base_p is None else as_fraction(base_p)
+    p0 = min(prefs, default=Fraction(0)) if base_p is None else as_fraction(base_p)
     coeffs = [Fraction(0)] * (order + 1)
     for (p, q, kind, params), coeff in bs.terms.items():
         shift = as_fraction(p) - p0

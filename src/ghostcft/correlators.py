@@ -338,24 +338,6 @@ def bulk_l2_crossterm_residual(j1, j2, j4, eta) -> float:
     return relative_gap(t1 + t2, t1, t2)
 
 
-def recursed_l2_terms(k: int, j1, j2, j4):
-    """The two k-recursed flow-2 finite sums as lists of (weight, (a, b, c)),
-    m = 0..k, each term weight * 2F1(a, b; c; eta):
-
-        first:   C(k,m) (-j4+1/2)_{k-m} (j4)_m / (1/2)_k,   (-m+1/2, -j1+1; j4+1/2),
-        second:  C(k,m) (-j4+1/2)_{k-m} (1/2)_m / (1/2)_k,  (-j4-m+1, j2; -j4+3/2)."""
-    j1c, j2c, j4c = map(to_complex, (j1, j2, j4))
-    norm = specfun.pochhammer(0.5, k)
-    first, second = [], []
-    for m in range(k + 1):
-        lead = math.comb(k, m) * specfun.pochhammer(-j4c + 0.5, k - m)
-        first.append((lead * specfun.pochhammer(j4c, m) / norm,
-                      (-m + 0.5, -j1c + 1, j4c + 0.5)))
-        second.append((lead * specfun.pochhammer(0.5, m) / norm,
-                       (-j4c - m + 1, j2c, -j4c + 1.5)))
-    return first, second
-
-
 # ----------------------------------------------------------------------
 # the charge-shift polynomial family and the general-charge conjectures
 # ----------------------------------------------------------------------

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Tuple
 
 from . import specfun
-from .correlators import recursed_l2_terms
+from .correlators import HALF
 from .errors import ParamError
 from .scalars import Scalar, cpow, relative_gap, to_complex
 
@@ -84,44 +84,22 @@ class BlockSumVerdict:
         return max(self.first_gap, self.second_gap) <= self.tolerance
 
 
-def _finite_sum(terms, eta) -> complex:
-    """sum weight * 2F1(a, b; c; eta) over the (weight, (a, b, c)) terms."""
-    total = 0j
-    for weight, params in terms:
-        total += weight * specfun.hyp2f1(*params, eta)
-    return total
-
-
-def blocksum_first(k: int, j1, j2, j4, eta) -> Tuple[complex, complex]:
-    """LHS/RHS of the first flow-2 block-sum form."""
-    j1c, j4c = to_complex(j1), to_complex(j4)
-    etac = to_complex(eta)
-    lhs = _finite_sum(recursed_l2_terms(k, j1, j2, j4)[0], etac)
-    w = -etac / (1 - etac)
-    rhs = cpow(1 - etac, j1c - 1) * specfun.hyp3f2(
-        j4c, -j1c + 1, k + 0.5, j4c + 0.5, 0.5, w
-    )
-    return lhs, rhs
-
-
-def blocksum_second(k: int, j1, j2, j4, eta) -> Tuple[complex, complex]:
-    """LHS/RHS of the second flow-2 block-sum form (with the
-    (-j4+1)_k/(1/2)_k prefactor on the closed side)."""
-    j2c, j4c = to_complex(j2), to_complex(j4)
-    etac = to_complex(eta)
-    lhs = _finite_sum(recursed_l2_terms(k, j1, j2, j4)[1], etac)
-    w = -etac / (1 - etac)
-    pref = specfun.pochhammer(-j4c + 1, k) / specfun.pochhammer(0.5, k)
-    rhs = pref * cpow(1 - etac, -j2c) * specfun.hyp3f2(
-        0.5, j2c, -j4c + k + 1, -j4c + 1.5, -j4c + 1, w
-    )
-    return lhs, rhs
+def blocksum_cases(k: int, j1, j2, j4, eta) -> Tuple[IdentityCase, IdentityCase]:
+    """The two flow-2 block-sum forms as instances of the identity:
+    (alpha, a, b, c) = (1/2-j4, 1/2, 1-j1, j4+1/2), at alpha = 1-c, and
+    (1/2-j4, 1-j4, j2, 3/2-j4), at alpha = c-1.  Exact charges give exact
+    parameters."""
+    return (IdentityCase(k, HALF - j4, HALF, 1 - j1, j4 + HALF, eta),
+            IdentityCase(k, HALF - j4, 1 - j4, j2, 1 + HALF - j4, eta))
 
 
 def blocksum_check_l2(k: int, j1, j2, j4, eta, tolerance: float = 1e-9
                       ) -> BlockSumVerdict:
-    """Verify both displayed flow-2 block-sum equalities."""
-    l1, r1 = blocksum_first(k, j1, j2, j4, eta)
-    l2, r2 = blocksum_second(k, j1, j2, j4, eta)
-    return BlockSumVerdict(relative_gap(l1 - r1, l1, r1), relative_gap(l2 - r2, l2, r2),
-                           tolerance)
+    """Verify both displayed flow-2 block-sum equalities, each side divided
+    by (1/2)_k as the displayed forms are."""
+    norm = specfun.pochhammer(0.5, k)
+    gaps = []
+    for case in blocksum_cases(k, j1, j2, j4, eta):
+        lhs, rhs = appb_lhs(case) / norm, appb_rhs(case) / norm
+        gaps.append(relative_gap(lhs - rhs, lhs, rhs))
+    return BlockSumVerdict(*gaps, tolerance)

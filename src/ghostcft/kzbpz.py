@@ -31,6 +31,7 @@ from typing import Callable, List, Optional, Tuple, Union
 from . import dfinite
 from .blocks import BlockSum, PowerSum, as_blocksum
 from .correlators import (
+    HALF,
     GhostPrimary,
     WardForm,
     charge_conserved,
@@ -401,7 +402,7 @@ def bpz_residual(F, i: int, charges, weights, points=None, rhs=None,
     """Residual of the second-order constraint at the charge-1/2 insertion i
     (0-based); rhs, when given, is the explicit right side (ws -> value)."""
     q_i = charges[i]
-    if not (abs(to_complex(q_i) - 0.5) <= 1e-12):
+    if not charge_conserved(q_i - HALF):
         raise ChargeError(f"the probe insertion must carry charge 1/2, got {q_i}")
     n = len(charges)
     points = points if points is not None else sample_insertions(n)

@@ -61,7 +61,7 @@ from typing import Dict, Iterable, List, Optional, Tuple
 from ..lincomb import LinComb, accumulate
 from .expr import (
     BETA, CURRENT, GAMMA, SINGLET, VIRASORO, Mode, ModeExpr, Word, _current_squared, _singlet,
-    mode,
+    mode, spectral_flow_map,
 )
 
 Monomial = Tuple[Mode, ...]  # sorted creation modes
@@ -251,7 +251,8 @@ def _unit_action(op: str, n: int, mono: Monomial,
     coefficient of image * phi_{j+shift+dshift}^ell is A + B (j + shift),
     with integers A and B that depend on neither j nor shift.  One table
     serves every charge for the life of the process, up to a fixed number
-    of entries."""
+    of entries: at most 2^16, about 1.1 KB each, so up to about 70 MB when
+    full.  `modealg-verify --level 10 --states 10000` fills about 30 000."""
     current = op == CURRENT
     weight = (lambda c: 1) if current else (lambda c: c)
     out: Dict[Tuple[Monomial, int], Tuple[int, int]] = {}
@@ -337,8 +338,6 @@ def act_singlet(state: GhostState, n: int) -> GhostState:
 def act_flowed(state: GhostState, m: Mode, ell: int) -> GhostState:
     """Action on the flow image sigma^ell(v): A_n sigma^ell v =
     sigma^ell(sigma^{-ell}(A_n) v)."""
-    from .expr import spectral_flow_map
-
     expr = spectral_flow_map(ModeExpr.of(m), -ell)
     return act(expr, state)
 

@@ -242,6 +242,14 @@ def test_exact_series_power_and_2f1():
     assert coeffs[1] == half * half / Fraction(5, 4)
 
 
+def test_exact_series_of_zero_keeps_the_base_exponent():
+    # a block that is zero, such as u' = (ab/c) 2F1(a+1, b+1; c+1) at a = 0,
+    # expands at the base exponent it is given, like any other block
+    zero = BlockSum.hyp2f1(Fraction(0), Fraction(0), Fraction(0), 1, 1, 2)
+    assert exact_series(zero, 3, base_p=1) == (1, [0] * 4)
+    assert exact_series(zero, 3) == (0, [0] * 4)
+
+
 def test_exact_series_detects_incompatible_offsets():
     ps = PowerSum(
         {(half, Fraction(0)): Fraction(1), (Fraction(1, 3), Fraction(0)): Fraction(1)}
@@ -360,9 +368,9 @@ _TWENTIETHS = st.integers(1, 19).map(lambda n: Fraction(n, 20))
 @given(_TWENTIETHS, _TWENTIETHS, st.booleans(), st.integers(0, 1), st.integers(1, 12))
 @settings(max_examples=60, deadline=None)
 def test_recursion_hands_over_the_split_the_sum_would_make(j1, j2, exact, which, k):
-    # the split _two_f1_steps makes of its stepped classes is the one the
-    # recursed sum would make of its own terms, in the same order, so either
-    # sums the same bits
+    # the split kzbpz._payload_blocksum makes of its stepped classes is the
+    # one the recursed sum would make of its own terms, in the same order, so
+    # either sums the same bits
     if not exact:
         j1, j2 = float(j1), float(j2)
     charges = (j1, j2, half, 2 - j1 - j2 - half)

@@ -115,24 +115,39 @@ def test_blocksum_forms_random(rng):
         assert verdict.passes, (k, j1, j2, j4, eta, verdict)
 
 
+def test_blocksum_cases_carry_exact_parameters():
+    j1, j2 = Fraction(7, 20), Fraction(4, 5)
+    j4 = Fraction(3, 2) - j1 - j2
+    first, second = idn.blocksum_cases(2, j1, j2, j4, Fraction(3, 10))
+    assert (first.alpha, first.a, first.b, first.c) == (half - j4, half, 1 - j1, j4 + half)
+    assert (second.alpha, second.a, second.b, second.c) == (
+        half - j4, 1 - j4, j2, Fraction(3, 2) - j4)
+    for case in (first, second):
+        assert all(isinstance(p, Fraction) for p in (case.alpha, case.a, case.b, case.c))
+    # the first form sits at alpha = 1 - c, the second at alpha = c - 1
+    assert first.alpha == 1 - first.c and second.alpha == second.c - 1
+
+
 def test_blocksum_k0_first_is_pfaff():
     j1, j2 = 0.35, 0.8
     j4 = 1.5 - j1 - j2
     eta = 0.4
-    lhs, rhs = idn.blocksum_first(0, j1, j2, j4, eta)
-    # lhs is the plain block payload; rhs its Pfaff transform
-    assert rel_err(lhs, sf.hyp2f1(0.5, -j1 + 1, j4 + 0.5, eta)) < 1e-13
-    assert rel_err(lhs, rhs) < 1e-12
+    first, _ = idn.blocksum_cases(0, j1, j2, j4, eta)
+    # the left side is the plain block payload; the right its Pfaff transform
+    assert rel_err(idn.appb_lhs(first), sf.hyp2f1(0.5, -j1 + 1, j4 + 0.5, eta)) < 1e-13
+    assert idn.identity_gap(first) < 1e-12
 
 
 def test_blocksum_second_prefactor_k1():
-    # the (-j4+1)_k/(1/2)_k prefactor at k=1, checked symbolically
+    # the closed side's (-j4+1)_k/(1/2)_k prefactor is (beta)_k/(1/2)_k,
+    # beta = alpha - a + c, checked exactly at k = 1
     j1, j2 = Fraction(7, 20), Fraction(4, 5)
     j4 = Fraction(3, 2) - j1 - j2
-    pref = sf.pochhammer(-j4 + 1, 1) / sf.pochhammer(half, 1)
-    assert pref == (-j4 + 1) / half
-    lhs, rhs = idn.blocksum_second(1, float(j1), float(j2), float(j4), 0.3)
-    assert rel_err(lhs, rhs) < 1e-12
+    _, second = idn.blocksum_cases(1, j1, j2, j4, 0.3)
+    beta = second.alpha - second.a + second.c
+    assert sf.pochhammer(beta, 1) / sf.pochhammer(half, 1) == (-j4 + 1) / half
+    assert idn.identity_gap(second) < 1e-12
+    assert idn.blocksum_check_l2(1, j1, j2, j4, 0.3).second_gap < 1e-12
 
 
 def test_identity_case_validation():

@@ -195,6 +195,15 @@ def test_bpz_requires_probe_charge():
         kz.bpz_residual(F, 0, F.charges, F.weights)
 
 
+def test_bpz_refuses_an_exact_probe_off_one_half():
+    # an exact probe charge is 1/2 exactly or not at all, as the CLI decides
+    j1 = Fraction(1, 2) + Fraction(1, 10**15)
+    j2 = Fraction(3, 10)
+    F = kz.ThreePointFamily(2).base((j1, j2, 2 - j1 - j2))
+    with pytest.raises(ChargeError):
+        kz.bpz_residual(F, 0, F.charges, F.weights)
+
+
 def test_bpz_three_point_flows(rng):
     for ell in (1, 2):
         j2 = rng.uniform(0.2, 1.2)
