@@ -81,9 +81,10 @@ def _brackets_hold(states: Iterable[GhostState], index_range, x: Action, y: Acti
                    want: Callable[[GhostState, int, int], Optional[GhostState]]) -> bool:
     """[X_m, Y_n] s == want(s, m, n) for every state s and m, n in
     index_range, with X_m = x(., m) and Y_n = y(., n); a want of None skips
-    the pair.  X_m s and Y_n s are computed once per state; J and L look
-    their action on each monomial up in states' one table, which holds
-    nothing a check sets up or has to drop."""
+    the pair.  X_m s and Y_n s are computed once per state; J, L and Ls
+    each look their action on a monomial up in one of states' two tables
+    (J and L in the unit table, Ls in the quadratic one built from it),
+    which hold nothing a check sets up or has to drop."""
     for s in states:
         xs: dict = {}
         ys: dict = {}

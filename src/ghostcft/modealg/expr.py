@@ -62,8 +62,9 @@ def _current_squared(vec: LinComb, n: int, top: int, current) -> LinComb:
     hi = ceil(n/2) .. top.  The sum is exact because J_hi v = 0 for every
     hi > top:
 
-    - a GhostState whose creators all have |index| <= d takes
-      top = d + max(d, |ell|).  J_hi acts as a derivation; J_hi phi = 0 for
+    - a ghost monomial on phi_j^ell whose creators all have |index| <= d
+      takes top = d + max(d, |ell|), as states._quadratic_action does per
+      monomial.  J_hi acts as a derivation; J_hi phi = 0 for
       hi >= 1, and [J_hi, x] for a creator x of index k >= -d is a mode of
       index p = hi + k > max(d, |ell|).  Moving right, that mode meets no
       creator of index -p (|-p| > d) and then annihilates phi_j^ell, since

@@ -28,17 +28,17 @@ for n <= -1
                 + sum_{c=n+ell+1}^{ell-1} c g_c b_{n-c} phi_j.
 
 No action needs a mode window.  (JJ)_n sums the pairs J_lo J_hi, hi acting
-first, up to hi = d + max(d, |ell|), with d the largest |index| of a creator
-in the state: past that bound J_hi vanishes on the state (the proof is at
-expr._current_squared).
+first, on each monomial up to hi = d + max(d, |ell|), with d the largest
+|index| of a creator in that monomial: past that bound J_hi vanishes on it
+(the proof is at expr._current_squared).
 
 Arithmetic runs on integers.  A state stores its reduced integer form: one
 denominator den > 0 and an int numerator per term, with gcd(den,
 numerators) = 1 and no zero numerator.  That form is canonical, so ==,
-hash, is_zero and max_depth read it directly.  The exact ``Fraction`` terms
+hash and is_zero read it directly.  The exact ``Fraction`` terms
 are a view built from it on the first read of ``terms`` (by to_text, the
 ghost-mode actions or a caller) and then kept; a state that is only summed,
-scaled, compared or acted on by J and L never builds it.
+scaled, compared or acted on by J, L, (JJ) and Ls never builds it.
 
 J_n or L_n on one monomial times phi_{j+k}^ell gives each image a
 coefficient A + B (j + k), with integers A and B that depend on neither the
@@ -48,8 +48,15 @@ eigenvalues give both.  So one table of these unit actions, keyed by (J or
 L, n, monomial, ell), serves every state of every charge; it lives for the
 process and holds at most a fixed number of entries (least recently used
 go first).  With j = p/q an action sums A q + B (p + q k) against the
-state's numerators over q and reduces once.  Sums, scalings and the (JJ)_n
-and Ls_n combinations add integer forms over a common denominator.
+state's numerators over q and reduces once.
+
+(JJ)_n and Ls_n have a second table of the same kind, built from the first:
+composing J_hi (coefficient A1 + B1 x, x = j + k, moving the shift by ds1)
+with J_lo taken at the moved charge (A2 + B2 (x + ds1)) gives each image a
+coefficient (C0 + C1 x + C2 x^2) / 2 with integers C0, C1, C2, and Ls_n
+adds the entries of L_n and J_n.  An action sums (C0 q + C1 X) q + C2 X^2,
+X = p + q k, against the numerators over 2 q^2 and reduces once.  Sums and
+scalings add integer forms over a common denominator.
 """
 from __future__ import annotations
 
@@ -60,12 +67,12 @@ from typing import Dict, Iterable, List, Optional, Tuple
 
 from ..lincomb import LinComb, accumulate
 from .expr import (
-    BETA, CURRENT, GAMMA, SINGLET, VIRASORO, Mode, ModeExpr, Word, _current_squared, _singlet,
-    mode, spectral_flow_map,
+    BETA, CURRENT, GAMMA, SINGLET, VIRASORO, Mode, ModeExpr, Word, mode, spectral_flow_map,
 )
 
 Monomial = Tuple[Mode, ...]  # sorted creation modes
 StateKey = Tuple[Monomial, int]  # (creators, charge shift)
+CURRENT_SQUARED = "JJ"  # the quadratic table's key for (JJ)_n; not a mode family
 
 
 def _sort_monomial(modes: Iterable[Mode]) -> Monomial:
@@ -172,13 +179,6 @@ class GhostState(LinComb):
     def scale(self, factor) -> "GhostState":
         return self._sum(((self, factor),))
 
-    def max_depth(self) -> int:
-        depth = 0
-        for (mono, _k) in self._nums:
-            for (_fam, n) in mono:
-                depth = max(depth, abs(n))
-        return depth
-
 
 def _apply_ghost_mode(state: GhostState, m: Mode) -> GhostState:
     """Apply a single b/g mode exactly."""
@@ -252,7 +252,7 @@ def _unit_action(op: str, n: int, mono: Monomial,
     with integers A and B that depend on neither j nor shift.  One table
     serves every charge for the life of the process, up to a fixed number
     of entries: at most 2^16, about 1.1 KB each, so up to about 70 MB when
-    full.  `modealg-verify --level 10 --states 10000` fills about 30 000."""
+    full.  `modealg-verify --level 10 --states 10000` fills about 21 500."""
     current = op == CURRENT
     weight = (lambda c: 1) if current else (lambda c: c)
     out: Dict[Tuple[Monomial, int], Tuple[int, int]] = {}
@@ -324,15 +324,78 @@ def act_virasoro(state: GhostState, n: int) -> GhostState:
     return _derivation(state, n, VIRASORO)
 
 
+@lru_cache(maxsize=1 << 14)
+def _quadratic_action(op: str, n: int, mono: Monomial,
+                      ell: int) -> Tuple[Tuple[Monomial, int, int, int, int], ...]:
+    """(JJ)_n (op CURRENT_SQUARED) or Ls_n (op SINGLET) on
+    mono * phi_{j+shift}^ell, as (image, dshift, C0, C1, C2) entries: the
+    coefficient of image * phi_{j+shift+dshift}^ell is (C0 + C1 x + C2 x^2) / 2
+    with x = j + shift, and integers C0, C1, C2 that depend on neither j nor
+    shift.  (JJ)_n sums J_lo J_hi with weight 2 (1 when lo = hi) for
+    hi = ceil(n/2) .. d + max(d, |ell|), d the largest |index| in mono; each
+    product of two unit entries is quadratic in x.  Like _unit_action, one
+    table serves every charge for the life of the process, up to a fixed
+    number of entries.  An entry holds about 24 terms: 2.4 KB at
+    `modealg-verify --level 8 --states 10000`, which fills 2 825 entries,
+    and 3.1 KB at `--level 10 --states 10000`, which fills 5 098 (bytes
+    freed by cache_clear over cache_info's count).  That is about four unit
+    entries' worth, so the bound is a quarter of theirs, 2^14 entries: about
+    50 MB when full."""
+    # the entries are over 2: those of (JJ)_n doubled, or 2 Ls_n =
+    # 2 L_n + (JJ)_n - (n+1) J_n
+    jj_scale = 2 if op == CURRENT_SQUARED else 1
+    out: Dict[Tuple[Monomial, int], List[int]] = {}
+
+    def add(image: Monomial, dshift: int, c0: int, c1: int, c2: int = 0) -> None:
+        acc = out.setdefault((image, dshift), [0, 0, 0])
+        acc[0] += c0
+        acc[1] += c1
+        acc[2] += c2
+
+    d = max((abs(k) for _fam, k in mono), default=0)
+    for hi in range(-(-n // 2), d + max(d, abs(ell)) + 1):
+        lo = n - hi
+        w = jj_scale * (1 if lo == hi else 2)
+        for im1, ds1, a1, b1 in _unit_action(CURRENT, hi, mono, ell):
+            for im2, ds2, a2, b2 in _unit_action(CURRENT, lo, im1, ell):
+                a2 += b2 * ds1  # J_lo acts at the moved charge x + ds1
+                add(im2, ds1 + ds2, w * a1 * a2, w * (a1 * b2 + b1 * a2), w * b1 * b2)
+    if op == SINGLET:
+        for image, dshift, a, b in _unit_action(VIRASORO, n, mono, ell):
+            add(image, dshift, 2 * a, 2 * b)
+        for image, dshift, a, b in _unit_action(CURRENT, n, mono, ell):
+            add(image, dshift, -(n + 1) * a, -(n + 1) * b)
+    return tuple((image, dshift, *c) for (image, dshift), c in out.items() if any(c))
+
+
+def _quadratic(state: GhostState, n: int, op: str) -> GhostState:
+    """(JJ)_n or Ls_n on the integer form of the state in one pass: with
+    j = p/q and X = p + q shift, each table entry of a monomial gives the
+    numerator (C0 q + C1 X) q + C2 X^2 over 2 q^2, summed against the
+    state's numerators (over den); the result is reduced once."""
+    p, q = state.j.numerator, state.j.denominator
+    ell = state.ell
+    out: Dict[StateKey, int] = {}
+    get = out.get
+    for (mono, shift), a in state._nums.items():
+        charge = p + q * shift  # q (j + shift)
+        square = charge * charge
+        for image, dshift, c0, c1, c2 in _quadratic_action(op, n, mono, ell):
+            c = (c0 * q + c1 * charge) * q + c2 * square
+            if c:
+                key = (image, shift + dshift)
+                out[key] = get(key, 0) + a * c
+    return state._from_ints(state._den * 2 * q * q, out)
+
+
 def act_current_squared(state: GhostState, n: int) -> GhostState:
     """(JJ)_n = sum_a :J_a J_{n-a}:, the larger index acting first."""
-    d = state.max_depth()
-    return _current_squared(state, n, d + max(d, abs(state.ell)), act_current)
+    return _quadratic(state, n, CURRENT_SQUARED)
 
 
 def act_singlet(state: GhostState, n: int) -> GhostState:
     """Ls_n = L_n + (1/2)(JJ)_n - ((n+1)/2) J_n."""
-    return _singlet(state, n, act_virasoro, act_current_squared, act_current)
+    return _quadratic(state, n, SINGLET)
 
 
 def act_flowed(state: GhostState, m: Mode, ell: int) -> GhostState:

@@ -9,7 +9,9 @@ from hypothesis import strategies as st
 
 from ghostcft.modealg import (
     BETA,
+    CURRENT,
     GAMMA,
+    VIRASORO,
     GhostState,
     JLVector,
     LocalExpr,
@@ -125,11 +127,29 @@ def test_ghost_mode_weights_under_virasoro(level_basis):
     assert check_mode_commutators_under_L(level_basis[:4], range(-2, 3))
 
 
-_J, _L = act_current, act_virasoro
-_PERTURBATIONS = {
-    "J*2": ("act_current", lambda s, n: _J(s, n).scale(2)),
-    "L+J": ("act_virasoro", lambda s, n: _L(s, n) + _J(s, n)),
-}
+_UNIT_TABLE = states._unit_action
+
+
+def _doubled_current(op, n, mono, ell):
+    """The unit table with J_n's entries doubled: J_n becomes 2 J_n."""
+    entries = _UNIT_TABLE(op, n, mono, ell)
+    if op != CURRENT:
+        return entries
+    return tuple((image, dshift, 2 * a, 2 * b) for image, dshift, a, b in entries)
+
+
+def _virasoro_plus_current(op, n, mono, ell):
+    """The unit table with J_n's entries added to L_n's: L_n becomes L_n + J_n."""
+    entries = _UNIT_TABLE(op, n, mono, ell)
+    return entries + _UNIT_TABLE(CURRENT, n, mono, ell) if op == VIRASORO else entries
+
+
+def _clear_tables():
+    states._unit_action.cache_clear()
+    states._quadratic_action.cache_clear()
+
+
+_PERTURBATIONS = {"J*2": _doubled_current, "L+J": _virasoro_plus_current}
 _CHECKS = {
     "jj": lambda sts, w: checks.check_jj_commutators(sts, w),
     "lj": lambda sts, w: checks.check_lj_commutators(sts, w),
@@ -146,15 +166,19 @@ _CHECKS = {
     ("ghost-under-L", "L+J"),
 ])
 def test_checks_fail_on_perturbed_action(monkeypatch, check, perturbation):
-    """Each bracket check holds on the true actions and fails once J is
-    doubled or L is replaced by L + J (in every module that acts with it)."""
+    """Each bracket check holds on the true actions and fails once the unit
+    table doubles J or replaces L by L + J; J and L read that table, and so
+    do (JJ) and Ls, whose quadratic table is built from it again."""
     sts = basis_states(Fraction(1, 3), 0, max_level=2, max_factors=2)[:3]
     window = range(-2, 3)
     assert _CHECKS[check](sts, window)
-    name, action = _PERTURBATIONS[perturbation]
-    for module in (states, checks):
-        monkeypatch.setattr(module, name, action)
-    assert _CHECKS[check](sts, window) is False
+    _clear_tables()
+    monkeypatch.setattr(states, "_unit_action", _PERTURBATIONS[perturbation])
+    try:
+        assert _CHECKS[check](sts, window) is False
+    finally:
+        monkeypatch.undo()
+        _clear_tables()
 
 
 def test_commutators_on_flowed_basis():
@@ -175,8 +199,13 @@ def _bilinear(state, b_idx, g_idx):
     return apply_word(state, ((BETA, b_idx), (GAMMA, g_idx)))
 
 
+def _depth(state):
+    """The largest |index| of a creator in the state."""
+    return max((abs(k) for mono, _shift in state.terms for _fam, k in mono), default=0)
+
+
 def _reference_width(state, n):
-    return state.max_depth() + abs(n) + abs(state.ell) + 4
+    return _depth(state) + abs(n) + abs(state.ell) + 4
 
 
 def _reference_current(state, n):
@@ -205,7 +234,7 @@ def _reference_current_squared(state, n):
     """(JJ)_n = sum_{|a| <= w} :J_a J_{n-a}:, the larger index acting first;
     J_hi vanishes on the state for hi > 2d + |ell|, so every term with
     |a| > 2d + |ell| + |n| does."""
-    w = 2 * state.max_depth() + abs(state.ell) + abs(n) + 2
+    w = 2 * _depth(state) + abs(state.ell) + abs(n) + 2
     total = state.scale(0)
     for a in range(-w, w + 1):
         lo, hi = min(a, n - a), max(a, n - a)
@@ -343,7 +372,7 @@ def _virasoro_ref(state, n):
 
 
 def _current_squared_ref(state, n):
-    d = state.max_depth()
+    d = _depth(state)
     out = {}
     for hi in range(-(-n // 2), d + max(d, abs(state.ell)) + 1):
         inner = _current_ref(state, hi)
@@ -417,17 +446,18 @@ def test_check_run_over_two_charges_matches_the_reference(monkeypatch):
 
 # the monomials of basis_states up to level 4, per flow
 _TABLE_MONOS = {ell: [next(iter(s.terms))[0] for s in basis_states(0, ell, max_level=4)]
-                for ell in range(-2, 3)}
+                for ell in range(-3, 4)}
 
 
 @st.composite
-def _table_draws(draw):
-    """A state on phi_j^ell of one to three basis monomials up to level 4 at
-    shifts -3..3, a second charge to warm the table at, and n in -4..4; the
-    charges have denominators up to 97 and take 0 and negative values."""
+def _table_draws(draw, max_flow=2):
+    """A state on phi_j^ell (|ell| <= max_flow) of one to three basis
+    monomials up to level 4 at shifts -3..3, a second charge to warm the
+    table at, and n in -4..4; the charges have denominators up to 97 and
+    take 0 and negative values."""
     charge = st.builds(Fraction, st.integers(-300, 300), st.integers(1, 97))
     j, other = draw(charge), draw(charge)
-    ell = draw(st.integers(-2, 2))
+    ell = draw(st.integers(-max_flow, max_flow))
     terms = draw(st.dictionaries(
         st.tuples(st.sampled_from(_TABLE_MONOS[ell]), st.integers(-3, 3)),
         st.builds(Fraction, st.integers(-9, 9).filter(bool), st.integers(1, 7)),
@@ -450,6 +480,27 @@ def test_unit_table_matches_the_fraction_derivation(draw):
         want = reference(state, n)
         assert kernel(state, n) == want
         states._unit_action.cache_clear()
+        got = kernel(state, n)
+        assert got == want and got.to_text() == want.to_text()
+
+
+@settings(max_examples=80, deadline=None)
+@given(_table_draws(max_flow=3))
+@example((GhostState(0, 1, {(((BETA, -3), (GAMMA, -1)), -1): Fraction(2, 3),
+                            (((GAMMA, 0),), 2): Fraction(-1)}), Fraction(-7, 97), -2))
+@example((GhostState(Fraction(-5, 3), -3, {(((BETA, 2),), 3): Fraction(1)}), Fraction(0), 0))
+def test_quadratic_table_matches_the_fraction_derivation(draw):
+    """(JJ)_n and Ls_n by quadratic-table lookup equal the pair sum and the
+    singlet combination of the term-by-term Fraction derivation, with both
+    tables warmed at another charge and from empty."""
+    state, other, n = draw
+    warm = GhostState(other, state.ell, {key: Fraction(1) for key in state.terms})
+    for kernel, reference in ((act_current_squared, _current_squared_ref),
+                              (act_singlet, _singlet_ref)):
+        kernel(warm, n)
+        want = reference(state, n)
+        assert kernel(state, n) == want
+        _clear_tables()
         got = kernel(state, n)
         assert got == want and got.to_text() == want.to_text()
 
@@ -502,7 +553,6 @@ def test_integer_form_and_fraction_terms_build_the_same_state(rng):
         assert lazy == eager and eager == lazy
         assert hash(lazy) == hash(eager)
         assert lazy.is_zero() == eager.is_zero() == (not any(nums.values()))
-        assert lazy.max_depth() == eager.max_depth()
         assert list(lazy.terms.items()) == list(eager.terms.items())
         assert lazy.to_text() == eager.to_text()
 
